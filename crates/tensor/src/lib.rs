@@ -17,7 +17,7 @@
 //!   worker so low-rank query matrices start identical across ranks.
 //! * [`pool`] — a small fixed-size worker pool (shared injector + worker
 //!   threads + result channel) that data-parallel kernels share.
-//! * [`kernels`] — tiled, pool-parallel matmul kernels that stay
+//! * [`kernels`] — register-tiled, pool-parallel matmul kernels that stay
 //!   bitwise-identical to the serial loops.
 //!
 //! # Examples

@@ -243,7 +243,7 @@ impl Matrix {
         }
         let mut out = Matrix::zeros(self.rows, other.cols);
         crate::kernels::matmul_into(
-            crate::pool::global_for(self.rows * self.cols * other.cols),
+            matmul_pool(self.rows, self.cols, other.cols),
             self.rows,
             self.cols,
             other.cols,
@@ -284,7 +284,7 @@ impl Matrix {
         }
         let mut out = Matrix::zeros(self.cols, other.cols);
         crate::kernels::matmul_tn_into(
-            crate::pool::global_for(self.rows * self.cols * other.cols),
+            matmul_pool(self.rows, self.cols, other.cols),
             self.rows,
             self.cols,
             other.cols,
@@ -325,7 +325,7 @@ impl Matrix {
         }
         let mut out = Matrix::zeros(self.rows, other.rows);
         crate::kernels::matmul_nt_into(
-            crate::pool::global_for(self.rows * self.cols * other.cols),
+            matmul_pool(self.rows, self.cols, other.rows),
             self.rows,
             self.cols,
             other.rows,
@@ -375,6 +375,13 @@ impl Matrix {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max)
     }
+}
+
+/// The pool for a product of an `n×k` and a `k×m` operand (in whichever
+/// transposition): its `n·k·m` multiply-adds decide whether it leaves the
+/// calling thread.
+fn matmul_pool(n: usize, k: usize, m: usize) -> &'static crate::pool::WorkerPool {
+    crate::pool::global_for(n * k * m)
 }
 
 impl Default for Matrix {
@@ -493,6 +500,21 @@ mod tests {
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
         let c = a.matmul(&b);
         assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
+    }
+
+    #[test]
+    fn matmul_pool_counts_n_k_m_multiply_adds() {
+        // A rank-4 reconstruction P̂·Qᵀ (1024×4 · (1024×4)ᵀ) does 4M
+        // multiply-adds and belongs on the shared pool; 1024×4 · 4×4 does
+        // 16K and stays inline.
+        assert!(std::ptr::eq(
+            matmul_pool(1024, 4, 1024),
+            crate::pool::global()
+        ));
+        assert!(!std::ptr::eq(
+            matmul_pool(1024, 4, 4),
+            crate::pool::global()
+        ));
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! pooling and flatten. Forward caches whatever backward needs; backward
 //! fills the parameter gradients and returns the input gradient.
 
+use acp_tensor::kernels;
+use acp_tensor::pool::global_for;
 use acp_tensor::rng::fill_std_normal;
 use acp_tensor::Matrix;
 use rand_chacha::ChaCha8Rng;
@@ -87,42 +89,45 @@ impl Layer for Dense {
             "dense input shape mismatch: {:?}",
             input.dims()
         );
-        let x = Matrix::from_vec(batch, self.in_features, input.as_slice().to_vec())
-            .expect("checked length");
-        let w = Matrix::from_vec(self.out_features, self.in_features, self.w.clone())
-            .expect("weight buffer consistent");
-        let mut y = x.matmul_nt(&w); // (batch, out)
-        for bi in 0..batch {
-            let row = y.row_mut(bi);
+        let (k, m) = (self.in_features, self.out_features);
+        let mut y = vec![0.0f32; batch * m];
+        kernels::matmul_nt_into(
+            global_for(batch * k * m),
+            batch,
+            k,
+            m,
+            input.as_slice(),
+            &self.w,
+            &mut y,
+        );
+        for row in y.chunks_exact_mut(m) {
             for (o, bias) in row.iter_mut().zip(&self.b) {
                 *o += bias;
             }
         }
         self.cached_input = Some(input.clone());
-        Tensor::from_vec(&[batch, self.out_features], y.into_vec())
+        Tensor::from_vec(&[batch, m], y)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let input = self.cached_input.take().expect("backward before forward");
         let batch = input.batch();
-        let dy = Matrix::from_vec(batch, self.out_features, grad_out.as_slice().to_vec())
-            .expect("grad shape");
-        let x = Matrix::from_vec(batch, self.in_features, input.as_slice().to_vec())
-            .expect("input shape");
+        let (k, m) = (self.out_features, self.in_features);
+        let dy = grad_out.as_slice();
+        let pool = global_for(batch * k * m);
         // gW = dyᵀ x, gb = column sums of dy.
-        let gw = dy.matmul_tn(&x);
-        self.gw.copy_from_slice(gw.as_slice());
+        self.gw.fill(0.0);
+        kernels::matmul_tn_into(pool, batch, k, m, dy, input.as_slice(), &mut self.gw);
         self.gb.fill(0.0);
-        for bi in 0..batch {
-            for (g, v) in self.gb.iter_mut().zip(dy.row(bi)) {
+        for dy_row in dy.chunks_exact(k) {
+            for (g, v) in self.gb.iter_mut().zip(dy_row) {
                 *g += v;
             }
         }
         // dx = dy W.
-        let w = Matrix::from_vec(self.out_features, self.in_features, self.w.clone())
-            .expect("weight buffer consistent");
-        let dx = dy.matmul(&w);
-        Tensor::from_vec(input.dims(), dx.into_vec())
+        let mut dx = vec![0.0f32; batch * m];
+        kernels::matmul_into(pool, batch, k, m, dy, &self.w, &mut dx);
+        Tensor::from_vec(input.dims(), dx)
     }
 
     fn params(&mut self) -> Vec<Param<'_>> {
@@ -289,17 +294,29 @@ impl Layer for Conv2d {
         );
         let (batch, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         assert_eq!(c, self.in_c, "conv channel mismatch");
-        let wm = Matrix::from_vec(self.out_c, self.in_c * self.k * self.k, self.w.clone())
-            .expect("weight buffer consistent");
+        let (fan_in, hw) = (self.in_c * self.k * self.k, h * w);
+        let pool = global_for(self.out_c * fan_in * hw);
         let mut out = Tensor::zeros(&[batch, self.out_c, h, w]);
+        let mut y = vec![0.0f32; self.out_c * hw];
         for bi in 0..batch {
             let cols = self.im2col(input.sample(bi), h, w);
-            let y = wm.matmul(&cols); // (out_c, h*w)
+            // y = W cols, (out_c, h*w).
+            y.fill(0.0);
+            kernels::matmul_into(
+                pool,
+                self.out_c,
+                fan_in,
+                hw,
+                &self.w,
+                cols.as_slice(),
+                &mut y,
+            );
             let dst = out.sample_mut(bi);
-            for oc in 0..self.out_c {
-                let bias = self.b[oc];
-                let src = y.row(oc);
-                let plane = &mut dst[oc * h * w..(oc + 1) * h * w];
+            for ((plane, src), &bias) in dst
+                .chunks_exact_mut(hw)
+                .zip(y.chunks_exact(hw))
+                .zip(&self.b)
+            {
                 for (d, s) in plane.iter_mut().zip(src) {
                     *d = s + bias;
                 }
@@ -313,25 +330,35 @@ impl Layer for Conv2d {
         let input = self.cached_input.take().expect("backward before forward");
         let dims = input.dims();
         let (batch, _c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let wm = Matrix::from_vec(self.out_c, self.in_c * self.k * self.k, self.w.clone())
-            .expect("weight buffer consistent");
+        let (fan_in, hw) = (self.in_c * self.k * self.k, h * w);
+        let pool = global_for(self.out_c * fan_in * hw);
         self.gw.fill(0.0);
         self.gb.fill(0.0);
         let mut dx = Tensor::zeros(dims);
+        let mut gw_b = vec![0.0f32; self.out_c * fan_in];
+        let mut dcols = Matrix::zeros(fan_in, hw);
         for bi in 0..batch {
-            let dy = Matrix::from_vec(self.out_c, h * w, grad_out.sample(bi).to_vec())
-                .expect("grad shape");
+            let dy = grad_out.sample(bi);
             let cols = self.im2col(input.sample(bi), h, w);
             // gW += dy colsᵀ.
-            let gw_b = dy.matmul_nt(&cols);
-            for (g, v) in self.gw.iter_mut().zip(gw_b.as_slice()) {
+            kernels::matmul_nt_into(pool, self.out_c, hw, fan_in, dy, cols.as_slice(), &mut gw_b);
+            for (g, v) in self.gw.iter_mut().zip(&gw_b) {
                 *g += v;
             }
-            for oc in 0..self.out_c {
-                self.gb[oc] += dy.row(oc).iter().sum::<f32>();
+            for (g, dy_row) in self.gb.iter_mut().zip(dy.chunks_exact(hw)) {
+                *g += dy_row.iter().sum::<f32>();
             }
             // dcols = Wᵀ dy; scatter back.
-            let dcols = wm.matmul_tn(&dy);
+            dcols.fill_zero();
+            kernels::matmul_tn_into(
+                pool,
+                self.out_c,
+                fan_in,
+                hw,
+                &self.w,
+                dy,
+                dcols.as_mut_slice(),
+            );
             self.col2im(&dcols, h, w, dx.sample_mut(bi));
         }
         dx
