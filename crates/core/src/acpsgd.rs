@@ -1,276 +1,55 @@
 //! The ACP-SGD distributed aggregator: **one** fused all-reduce per step
 //! (Algorithms 1–2 wired to a real communicator).
 
-use acp_collectives::{CollectiveOp, CollectiveResult, Communicator, ReduceOp};
 use acp_compression::acp::{AcpSgd, AcpSgdConfig as AcpCompressionConfig, FactorSide};
-use acp_telemetry::{RecorderCell, RecorderHandle};
-use acp_tensor::{Matrix, MatrixShape};
+use acp_compression::CompressError;
+use acp_tensor::Matrix;
 
-use crate::error::CoreError;
-use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{run_step, Bucket, BucketCodec, FusedPipeline, Round, DEFAULT_BUFFER_BYTES};
+use crate::lowrank::{LowRankCodec, LowRankCompressor, LowRankConfig, LowRankRound};
+use crate::pipeline::Fused;
 
-/// Configuration of [`AcpSgdAggregator`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AcpSgdConfig {
-    /// Factorization rank (paper: 4 for CNNs, 32 for transformers).
-    pub rank: usize,
-    /// Maintain per-matrix error-feedback residuals (Algorithm 2) —
-    /// required for convergence parity with S-SGD (Fig. 7).
-    pub error_feedback: bool,
-    /// Reuse the previous aggregated factor as the power-iteration query —
-    /// the second Fig. 7 ingredient.
-    pub reuse: bool,
-    /// Base seed for the rank-shared random factor initialization.
-    pub seed: u64,
-    /// Number of initial steps aggregated *uncompressed* (exact averaging)
-    /// before low-rank compression kicks in — the `start_powerSGD_iter`
-    /// warm start of PyTorch's PowerSGD hook, which avoids compressing the
-    /// large, fast-changing early-training gradients.
-    pub warm_start_steps: u64,
-    /// Tensor-fusion buffer capacity in bytes (0 disables fusion).
-    pub buffer_bytes: usize,
-}
+/// Configuration of [`AcpSgdAggregator`]: the [`LowRankConfig`] it shares
+/// with Power-SGD.
+pub type AcpSgdConfig = LowRankConfig;
 
-impl Default for AcpSgdConfig {
-    fn default() -> Self {
-        AcpSgdConfig {
-            rank: 4,
-            error_feedback: true,
-            reuse: true,
-            seed: 42,
-            warm_start_steps: 0,
-            buffer_bytes: DEFAULT_BUFFER_BYTES,
-        }
-    }
-}
+/// One round: the step's single factor (`P` or `Q`) is all-reduced and
+/// decompressed straight away.
+impl LowRankCompressor for AcpSgd {
+    const NAME: &'static str = "acpsgd";
 
-impl AcpSgdConfig {
-    /// Sets the factorization rank.
-    #[must_use]
-    pub fn with_rank(mut self, rank: usize) -> Self {
-        self.rank = rank;
-        self
+    fn create(rows: usize, cols: usize, cfg: &LowRankConfig, seed: u64) -> Self {
+        AcpSgd::new(
+            rows,
+            cols,
+            AcpCompressionConfig {
+                rank: cfg.rank,
+                error_feedback: cfg.error_feedback,
+                reuse: cfg.reuse,
+                seed,
+                ..AcpCompressionConfig::default()
+            },
+        )
     }
 
-    /// Enables or disables error feedback.
-    #[must_use]
-    pub fn with_error_feedback(mut self, error_feedback: bool) -> Self {
-        self.error_feedback = error_feedback;
-        self
+    fn error_norm(&self) -> f32 {
+        AcpSgd::error_norm(self)
     }
 
-    /// Enables or disables query reuse.
-    #[must_use]
-    pub fn with_reuse(mut self, reuse: bool) -> Self {
-        self.reuse = reuse;
-        self
+    fn first_factor(&mut self, grad: &Matrix) -> Result<Matrix, CompressError> {
+        self.try_compress(grad)
     }
 
-    /// Sets the base seed for factor initialization.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the number of uncompressed warm-start steps.
-    #[must_use]
-    pub fn with_warm_start_steps(mut self, steps: u64) -> Self {
-        self.warm_start_steps = steps;
-        self
-    }
-
-    /// Sets the tensor-fusion buffer capacity in bytes.
-    #[must_use]
-    pub fn with_buffer_bytes(mut self, buffer_bytes: usize) -> Self {
-        self.buffer_bytes = buffer_bytes;
-        self
-    }
-}
-
-/// Per-tensor compression state.
-#[derive(Debug)]
-#[allow(clippy::large_enum_variant)] // few instances, one per tensor
-enum LrState {
-    Matrix {
-        rows: usize,
-        cols: usize,
-        state: AcpSgd,
-    },
-    Vector,
-}
-
-/// Per-bucket codec state: one [`LrState`] per tensor in the bucket, plus
-/// the local factors in flight between `encode` and `decode`.
-#[derive(Debug)]
-struct AcpBucketState {
-    states: Vec<LrState>,
-    factors: Vec<Matrix>,
-}
-
-/// The ACP-SGD bucket codec: one fused mean all-reduce per bucket carrying
-/// this step's low-rank factors (matrices) and raw gradients (vectors).
-#[derive(Debug)]
-struct AcpCodec {
-    cfg: AcpSgdConfig,
-    /// Exact averaging this step (warm start)?
-    warm: bool,
-    buckets: Vec<Option<AcpBucketState>>,
-}
-
-impl AcpCodec {
-    fn state_for(&mut self, bucket: &Bucket) -> &mut AcpBucketState {
-        if self.buckets.len() <= bucket.index {
-            self.buckets.resize_with(bucket.index + 1, || None);
-        }
-        let cfg = self.cfg;
-        let tensors_start = bucket.tensors.start;
-        let dims = &bucket.dims;
-        self.buckets[bucket.index].get_or_insert_with(|| {
-            let states = dims
-                .iter()
-                .enumerate()
-                .map(|(slot, d)| match MatrixShape::from_tensor_shape(d) {
-                    MatrixShape::Matrix { rows, cols } => {
-                        // Seed by *global* tensor index so per-tensor random
-                        // streams are identical across ranks and independent
-                        // of the bucket layout.
-                        let i = tensors_start + slot;
-                        let ccfg = AcpCompressionConfig {
-                            rank: cfg.rank,
-                            error_feedback: cfg.error_feedback,
-                            reuse: cfg.reuse,
-                            seed: cfg.seed ^ (i as u64).wrapping_mul(0x9E3779B9),
-                            ..AcpCompressionConfig::default()
-                        };
-                        LrState::Matrix {
-                            rows,
-                            cols,
-                            state: AcpSgd::new(rows, cols, ccfg),
-                        }
-                    }
-                    MatrixShape::Vector { .. } => LrState::Vector,
-                })
-                .collect();
-            AcpBucketState {
-                states,
-                factors: Vec::new(),
-            }
-        })
-    }
-
-    fn total_error_norm(&self) -> f32 {
-        self.buckets
-            .iter()
-            .flatten()
-            .flat_map(|b| &b.states)
-            .map(|s| match s {
-                LrState::Matrix { state, .. } => state.error_norm(),
-                LrState::Vector => 0.0,
-            })
-            .sum()
-    }
-
-    fn next_side(&self) -> Option<FactorSide> {
-        self.buckets
-            .iter()
-            .flatten()
-            .flat_map(|b| &b.states)
-            .find_map(|s| match s {
-                LrState::Matrix { state, .. } => Some(state.next_side()),
-                LrState::Vector => None,
-            })
-    }
-}
-
-impl BucketCodec for AcpCodec {
-    fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
-        if self.warm {
-            // Exact averaging during warm start; no compression state
-            // touched, so the fallback never perturbs the factor schedule.
-            bucket.payload_bytes += 4 * bucket.elems as u64;
-            return Ok(vec![CollectiveOp::AllReduce {
-                buf: std::mem::take(&mut bucket.data),
-                op: ReduceOp::Mean,
-            }]);
-        }
-        let offsets = bucket.offsets.clone();
-        let data = std::mem::take(&mut bucket.data);
-        let st = self.state_for(bucket);
-        st.factors.clear();
-        // One fused payload: this step's factor per matrix, raw data per
-        // vector.
-        let mut buf = Vec::new();
-        for (slot, lr) in st.states.iter_mut().enumerate() {
-            let seg = &data[offsets[slot]..offsets[slot + 1]];
-            match lr {
-                LrState::Matrix { rows, cols, state } => {
-                    let m = Matrix::from_vec(*rows, *cols, seg.to_vec())
-                        .map_err(acp_compression::CompressError::from)?;
-                    let f = state.try_compress(&m)?;
-                    buf.extend_from_slice(f.as_slice());
-                    st.factors.push(f);
-                }
-                LrState::Vector => buf.extend_from_slice(seg),
-            }
-        }
-        bucket.payload_bytes += 4 * buf.len() as u64;
-        Ok(vec![CollectiveOp::AllReduce {
-            buf,
-            op: ReduceOp::Mean,
-        }])
-    }
-
-    fn decode(
+    fn reduced(
         &mut self,
-        bucket: &mut Bucket,
-        results: Vec<CollectiveResult>,
-    ) -> Result<Round, CoreError> {
-        let reduced = results
-            .into_iter()
-            .next()
-            .ok_or(CoreError::CodecProtocol(
-                "expected one collective result per round",
-            ))?
-            .into_f32()
-            .map_err(CoreError::from)?;
-        if self.warm {
-            bucket.data = reduced;
-            return Ok(Round::Done);
-        }
-        let st = self.buckets[bucket.index]
-            .as_mut()
-            .ok_or(CoreError::CodecProtocol(
-                "decode without a pending encode state",
-            ))?;
-        let mut out = vec![0.0f32; bucket.elems];
-        let mut factors = std::mem::take(&mut st.factors).into_iter();
-        let mut pos = 0usize;
-        for (slot, lr) in st.states.iter_mut().enumerate() {
-            let (start, end) = (bucket.offsets[slot], bucket.offsets[slot + 1]);
-            match lr {
-                LrState::Matrix { state, .. } => {
-                    let mut f_hat = factors.next().ok_or(CoreError::CodecProtocol(
-                        "missing low-rank factor for matrix slot",
-                    ))?;
-                    let n = f_hat.as_slice().len();
-                    f_hat.as_mut_slice().copy_from_slice(&reduced[pos..pos + n]);
-                    pos += n;
-                    let approx = state.try_finish(f_hat).map_err(CoreError::from)?;
-                    out[start..end].copy_from_slice(approx.as_slice());
-                }
-                LrState::Vector => {
-                    let n = end - start;
-                    out[start..end].copy_from_slice(&reduced[pos..pos + n]);
-                    pos += n;
-                }
-            }
-        }
-        bucket.data = out;
-        Ok(Round::Done)
+        factor: Matrix,
+        _first_round: bool,
+    ) -> Result<LowRankRound, CompressError> {
+        self.try_finish(factor).map(LowRankRound::Approx)
     }
 }
+
+/// The ACP-SGD bucket codec.
+pub type AcpCodec = LowRankCodec<AcpSgd>;
 
 /// ACP-SGD aggregator over real collectives.
 ///
@@ -280,130 +59,25 @@ impl BucketCodec for AcpCodec {
 /// after which every rank decompresses the identical `P Qᵀ` approximation.
 /// Exactly one non-blocking collective per bucket per step — the property
 /// that lets the paper apply WFBP and tensor fusion, both available here
-/// through the shared [`FusedPipeline`].
+/// through the shared [`FusedPipeline`](crate::FusedPipeline).
 ///
 /// # Examples
 ///
 /// See the crate-level example.
-#[derive(Debug)]
-pub struct AcpSgdAggregator {
-    cfg: AcpSgdConfig,
-    pipeline: FusedPipeline,
-    codec: AcpCodec,
-    steps: u64,
-    recorder: RecorderCell,
-}
+pub type AcpSgdAggregator = Fused<AcpCodec>;
 
 impl AcpSgdAggregator {
-    /// Creates the aggregator; per-tensor state initializes lazily on the
-    /// first [`DistributedOptimizer::aggregate`] call.
-    pub fn new(cfg: AcpSgdConfig) -> Self {
-        AcpSgdAggregator {
-            cfg,
-            pipeline: FusedPipeline::new(cfg.buffer_bytes),
-            codec: AcpCodec {
-                cfg,
-                warm: cfg.warm_start_steps > 0,
-                buckets: Vec::new(),
-            },
-            steps: 0,
-            recorder: RecorderCell::default(),
-        }
-    }
-
-    /// Number of completed aggregation steps.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Whether the next step still uses the uncompressed warm start.
-    pub fn in_warm_start(&self) -> bool {
-        self.steps < self.cfg.warm_start_steps
-    }
-
     /// Which factor the next step will transmit (`None` before the first
     /// step or for models with no matrix parameters).
     pub fn next_side(&self) -> Option<FactorSide> {
-        self.codec.next_side()
-    }
-
-    /// Sum of per-matrix error-feedback residual norms (diagnostics).
-    pub fn total_error_norm(&self) -> f32 {
-        self.codec.total_error_norm()
-    }
-}
-
-impl DistributedOptimizer for AcpSgdAggregator {
-    fn name(&self) -> &'static str {
-        "acpsgd"
-    }
-
-    fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
-        self.pipeline.set_buffer_bytes(buffer_bytes);
-        // Per-bucket factor state is keyed by bucket index; a new plan
-        // means new buckets, so the old queries/residuals are dropped.
-        self.codec.buckets.clear();
-    }
-
-    fn on_membership_change(&mut self) {
-        // Same reasoning as `set_buffer_bytes`: the re-plan invalidates
-        // bucket-indexed codec state along with the bucket plan.
-        self.pipeline.replan();
-        self.codec.buckets.clear();
-    }
-
-    fn aggregate(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.codec.warm = self.in_warm_start();
-        let warm = self.codec.warm;
-        let ef = self.cfg.error_feedback;
-        run_step(
-            &mut self.pipeline,
-            &mut self.codec,
-            &self.recorder,
-            grads,
-            comm,
-            |codec: &AcpCodec| (!warm && ef).then(|| codec.total_error_norm() as f64),
-        )?;
-        self.steps += 1;
-        Ok(())
-    }
-
-    fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder.set(recorder);
-    }
-
-    fn supports_overlap(&self) -> bool {
-        true
-    }
-
-    fn push_ready(
-        &mut self,
-        index: usize,
-        dims: &[usize],
-        grad: &[f32],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.codec.warm = self.in_warm_start();
-        self.pipeline
-            .push(&mut self.codec, index, dims, grad, comm, &*self.recorder)
-    }
-
-    fn finish_overlap(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.aggregate(grads, comm)
+        self.codec.matrix_states().next().map(AcpSgd::next_side)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{DistributedOptimizer, GradViewMut};
     use acp_collectives::ThreadGroup;
     use acp_tensor::vecops::relative_error;
     use acp_tensor::SeedableStdNormal;
@@ -611,63 +285,6 @@ mod tests {
         });
         for b in results {
             assert_eq!(b, vec![0.5; 4]);
-        }
-    }
-
-    #[test]
-    fn overlapped_pushes_match_blocking_bitwise() {
-        // WFBP-style pushes (reverse order, like backward) must produce
-        // bit-identical results to blocking aggregation across steps, even
-        // with tiny buckets and compression state in play.
-        let run = |overlapped: bool| {
-            ThreadGroup::run(3, move |mut comm| {
-                let cfg = AcpSgdConfig::default().with_rank(2).with_buffer_bytes(64);
-                let mut opt = AcpSgdAggregator::new(cfg);
-                let dims = [vec![4usize, 4], vec![6usize], vec![3usize, 5]];
-                let mut out = Vec::new();
-                for step in 0..4 {
-                    let r = comm.rank_id().as_usize() as f32 + 1.0;
-                    let s = step as f32 + 1.0;
-                    let mut grads: Vec<Vec<f32>> = dims
-                        .iter()
-                        .enumerate()
-                        .map(|(t, d)| {
-                            let n: usize = d.iter().product();
-                            (0..n)
-                                .map(|i| ((i + t) as f32 * 0.37 * r + s).sin())
-                                .collect()
-                        })
-                        .collect();
-                    if overlapped {
-                        for i in (0..dims.len()).rev() {
-                            let g = grads[i].clone();
-                            opt.push_ready(i, &dims[i], &g, &mut comm).unwrap();
-                        }
-                        let mut views: Vec<GradViewMut<'_>> = dims
-                            .iter()
-                            .zip(grads.iter_mut())
-                            .map(|(d, g)| GradViewMut { dims: d, grad: g })
-                            .collect();
-                        opt.finish_overlap(&mut views, &mut comm).unwrap();
-                    } else {
-                        let mut views: Vec<GradViewMut<'_>> = dims
-                            .iter()
-                            .zip(grads.iter_mut())
-                            .map(|(d, g)| GradViewMut { dims: d, grad: g })
-                            .collect();
-                        opt.aggregate(&mut views, &mut comm).unwrap();
-                    }
-                    out = grads.concat();
-                }
-                out
-            })
-        };
-        let blocking = run(false);
-        let overlapped = run(true);
-        for (b, o) in blocking.iter().zip(&overlapped) {
-            for (x, y) in b.iter().zip(o) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
         }
     }
 }

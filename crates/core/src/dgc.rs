@@ -16,13 +16,12 @@
 //! per fusion bucket, which coincides with the global clip whenever the
 //! model fits one bucket — the default 25 MB buffer in practice.)
 
-use acp_collectives::{CollectiveOp, CollectiveResult, Communicator};
-use acp_compression::{Compressor, Payload, TopK};
-use acp_telemetry::{RecorderCell, RecorderHandle};
+use acp_collectives::{CollectiveOp, CollectiveResult};
+use acp_compression::{Compressor, TopK};
 
 use crate::error::CoreError;
-use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{run_step, Bucket, BucketCodec, FusedPipeline, Round, DEFAULT_BUFFER_BYTES};
+use crate::pipeline::{Bucket, BucketCodec, Fused, Round, DEFAULT_BUFFER_BYTES};
+use crate::sparse;
 
 /// Configuration for [`DgcAggregator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,7 +89,7 @@ struct DgcBucketState {
 /// The DGC bucket codec: clip → momentum correction → accumulate → top-k of
 /// the accumulator → mask, one sparse all-gather pair per bucket.
 #[derive(Debug)]
-struct DgcCodec {
+pub struct DgcCodec {
     cfg: DgcConfig,
     buckets: Vec<Option<DgcBucketState>>,
 }
@@ -139,19 +138,9 @@ impl BucketCodec for DgcCodec {
             *v += *u;
         }
         // Select top-k of the accumulated tensor.
-        let k = ((self.cfg.density * n as f64).ceil() as usize).clamp(1, n);
-        let payload = TopK::new(k).compress(&st.accum);
+        let payload = TopK::new(sparse::k_for(self.cfg.density, n)).compress(&st.accum);
         bucket.payload_bytes += payload.wire_bytes() as u64;
-        let (indices, values) = match payload {
-            Payload::Sparse {
-                indices, values, ..
-            } => (indices, values),
-            _ => {
-                return Err(CoreError::CodecProtocol(
-                    "top-k compressor must produce a sparse payload",
-                ))
-            }
-        };
+        let (indices, values) = sparse::into_parts(payload)?;
         // Momentum factor masking: clear u and v at transmitted coords.
         for &i in &indices {
             st.velocity[i as usize] = 0.0;
@@ -159,10 +148,7 @@ impl BucketCodec for DgcCodec {
         }
         // Aggregate the sparse selections (all-gather + scatter average,
         // as in the reference implementation).
-        Ok(vec![
-            CollectiveOp::AllGatherU32 { send: indices },
-            CollectiveOp::AllGatherF32 { send: values },
-        ])
+        Ok(sparse::all_gather(indices, values))
     }
 
     fn decode(
@@ -170,25 +156,20 @@ impl BucketCodec for DgcCodec {
         bucket: &mut Bucket,
         results: Vec<CollectiveResult>,
     ) -> Result<Round, CoreError> {
-        let mut results = results.into_iter();
-        let gathered_idx = results
-            .next()
-            .ok_or(CoreError::CodecProtocol(
-                "expected two collective results per round",
-            ))?
-            .into_u32()
-            .map_err(CoreError::from)?;
-        let gathered_val = results
-            .next()
-            .ok_or(CoreError::CodecProtocol(
-                "expected two collective results per round",
-            ))?
-            .into_f32()
-            .map_err(CoreError::from)?;
-        let mut dense = vec![0.0f32; bucket.elems];
-        TopK::scatter_average(&gathered_idx, &gathered_val, bucket.world_size, &mut dense);
-        bucket.data = dense;
-        Ok(Round::Done)
+        sparse::decode_gathered(bucket, results)
+    }
+
+    fn name(&self) -> &'static str {
+        "dgc"
+    }
+
+    fn residual_norm(&self) -> Option<f64> {
+        // DGC's error feedback lives in the accumulated tensor.
+        Some(self.accumulated_norm() as f64)
+    }
+
+    fn reset(&mut self) {
+        self.buckets.clear();
     }
 }
 
@@ -197,12 +178,7 @@ impl BucketCodec for DgcCodec {
 /// The decoded result on every rank is the averaged sparse momentum-
 /// corrected gradient; pair it with a *plain* SGD update (no additional
 /// momentum — the momentum lives inside the aggregator).
-#[derive(Debug)]
-pub struct DgcAggregator {
-    pipeline: FusedPipeline,
-    codec: DgcCodec,
-    recorder: RecorderCell,
-}
+pub type DgcAggregator = Fused<DgcCodec>;
 
 impl DgcAggregator {
     /// Creates the aggregator.
@@ -211,19 +187,15 @@ impl DgcAggregator {
     ///
     /// Panics if the density is not in `(0, 1]` or momentum is negative.
     pub fn new(cfg: DgcConfig) -> Self {
-        assert!(
-            cfg.density > 0.0 && cfg.density <= 1.0,
-            "density must be in (0, 1]"
-        );
+        sparse::assert_density(cfg.density);
         assert!(cfg.momentum >= 0.0, "momentum must be non-negative");
-        DgcAggregator {
-            pipeline: FusedPipeline::new(cfg.buffer_bytes),
-            codec: DgcCodec {
+        Fused::from_codec(
+            cfg.buffer_bytes,
+            DgcCodec {
                 cfg,
                 buckets: Vec::new(),
             },
-            recorder: RecorderCell::default(),
-        }
+        )
     }
 
     /// L2 norm of the accumulated unsent gradient (diagnostics).
@@ -232,70 +204,10 @@ impl DgcAggregator {
     }
 }
 
-impl DistributedOptimizer for DgcAggregator {
-    fn name(&self) -> &'static str {
-        "dgc"
-    }
-
-    fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
-        self.pipeline.set_buffer_bytes(buffer_bytes);
-        self.codec.buckets.clear();
-    }
-
-    fn on_membership_change(&mut self) {
-        // Same reasoning as `set_buffer_bytes`: the re-plan invalidates
-        // bucket-indexed codec state along with the bucket plan.
-        self.pipeline.replan();
-        self.codec.buckets.clear();
-    }
-
-    fn aggregate(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        run_step(
-            &mut self.pipeline,
-            &mut self.codec,
-            &self.recorder,
-            grads,
-            comm,
-            // DGC's error feedback lives in the accumulated tensor.
-            |codec: &DgcCodec| Some(codec.accumulated_norm() as f64),
-        )
-    }
-
-    fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder.set(recorder);
-    }
-
-    fn supports_overlap(&self) -> bool {
-        true
-    }
-
-    fn push_ready(
-        &mut self,
-        index: usize,
-        dims: &[usize],
-        grad: &[f32],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.pipeline
-            .push(&mut self.codec, index, dims, grad, comm, &*self.recorder)
-    }
-
-    fn finish_overlap(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.aggregate(grads, comm)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{DistributedOptimizer, GradViewMut};
     use acp_collectives::{LocalCommunicator, ThreadGroup};
 
     fn step(opt: &mut DgcAggregator, comm: &mut LocalCommunicator, grad: &[f32]) -> Vec<f32> {

@@ -15,9 +15,9 @@ use crate::topksgd::{TopkSgdAggregator, TopkSgdConfig};
 
 /// Specification of one aggregation algorithm and its configuration.
 ///
-/// Every variant corresponds to one [`DistributedOptimizer`]
-/// implementation; [`build_optimizer`] turns the specification into a
-/// ready-to-use boxed optimizer.
+/// Every variant corresponds to one aggregator type (one codec under
+/// [`Fused`](crate::Fused)); [`build_optimizer`] turns the specification
+/// into a ready-to-use boxed [`DistributedOptimizer`].
 ///
 /// # Examples
 ///

@@ -7,24 +7,23 @@
 //! implements it over the [`CollectiveOp::GlobalTopk`] collective so the
 //! scaling difference is measurable (see the `ext_scaling` experiment).
 
-use acp_collectives::{CollectiveOp, CollectiveResult, Communicator};
-use acp_compression::{Compressor, ErrorFeedback, Payload, TopK};
-use acp_telemetry::{RecorderCell, RecorderHandle};
+use acp_collectives::{CollectiveOp, CollectiveResult};
+use acp_compression::{Compressor, ErrorFeedback, TopK};
 
 use crate::error::CoreError;
-use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{run_step, Bucket, BucketCodec, FusedPipeline, Round, DEFAULT_BUFFER_BYTES};
+use crate::pipeline::{Bucket, BucketCodec, Fused, Round, DEFAULT_BUFFER_BYTES};
+use crate::sparse;
 
 /// The gTop-k bucket codec: local top-k selection with error feedback, then
 /// one sparse global-top-k collective per bucket.
 #[derive(Debug)]
-struct GTopkCodec {
+pub struct GTopkCodec {
     density: f64,
     buckets: Vec<Option<ErrorFeedback<TopK>>>,
 }
 
 impl GTopkCodec {
-    fn residual_norm(&self) -> f32 {
+    fn residual_sum(&self) -> f32 {
         self.buckets
             .iter()
             .flatten()
@@ -36,8 +35,7 @@ impl GTopkCodec {
 impl BucketCodec for GTopkCodec {
     fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
         let data = std::mem::take(&mut bucket.data);
-        let n = bucket.elems;
-        let k = ((self.density * n as f64).ceil() as usize).clamp(1, n);
+        let k = sparse::k_for(self.density, bucket.elems);
         if self.buckets.len() <= bucket.index {
             self.buckets.resize_with(bucket.index + 1, || None);
         }
@@ -45,16 +43,7 @@ impl BucketCodec for GTopkCodec {
             .get_or_insert_with(|| ErrorFeedback::new(TopK::new(k)))
             .compress(&data);
         bucket.payload_bytes += payload.wire_bytes() as u64;
-        let (indices, values) = match payload {
-            Payload::Sparse {
-                indices, values, ..
-            } => (indices, values),
-            _ => {
-                return Err(CoreError::CodecProtocol(
-                    "top-k compressor must produce a sparse payload",
-                ))
-            }
-        };
+        let (indices, values) = sparse::into_parts(payload)?;
         Ok(vec![CollectiveOp::GlobalTopk { indices, values, k }])
     }
 
@@ -71,6 +60,7 @@ impl BucketCodec for GTopkCodec {
             ))?
             .into_sparse()
             .map_err(CoreError::from)?;
+        sparse::check_coordinates(bucket, &global_idx, &global_val)?;
         let mut dense = vec![0.0f32; bucket.elems];
         let inv = 1.0 / bucket.world_size as f32;
         for (&i, &v) in global_idx.iter().zip(&global_val) {
@@ -78,6 +68,18 @@ impl BucketCodec for GTopkCodec {
         }
         bucket.data = dense;
         Ok(Round::Done)
+    }
+
+    fn name(&self) -> &'static str {
+        "gtopk"
+    }
+
+    fn residual_norm(&self) -> Option<f64> {
+        Some(self.residual_sum() as f64)
+    }
+
+    fn reset(&mut self) {
+        self.buckets.clear();
     }
 }
 
@@ -87,13 +89,7 @@ impl BucketCodec for GTopkCodec {
 /// group reduces the sparse vectors with per-round top-k truncation; every
 /// rank receives the identical (approximate) global top-k of the summed
 /// gradient, averaged over the world size.
-#[derive(Debug)]
-pub struct GTopkSgdAggregator {
-    density: f64,
-    pipeline: FusedPipeline,
-    codec: GTopkCodec,
-    recorder: RecorderCell,
-}
+pub type GTopkSgdAggregator = Fused<GTopkCodec>;
 
 impl GTopkSgdAggregator {
     /// Creates a gTop-k aggregator keeping `density` of the gradient
@@ -114,92 +110,31 @@ impl GTopkSgdAggregator {
     /// Panics if `density` is not in `(0, 1]`.
     #[must_use]
     pub fn with_buffer_bytes(density: f64, buffer_bytes: usize) -> Self {
-        assert!(density > 0.0 && density <= 1.0, "density must be in (0, 1]");
-        GTopkSgdAggregator {
-            density,
-            pipeline: FusedPipeline::new(buffer_bytes),
-            codec: GTopkCodec {
+        sparse::assert_density(density);
+        Fused::from_codec(
+            buffer_bytes,
+            GTopkCodec {
                 density,
                 buckets: Vec::new(),
             },
-            recorder: RecorderCell::default(),
-        }
+        )
     }
 
     /// The configured selection density.
     pub fn density(&self) -> f64 {
-        self.density
+        self.codec.density
     }
 
     /// Sum of per-bucket error-feedback residual norms.
     pub fn residual_norm(&self) -> f32 {
-        self.codec.residual_norm()
-    }
-}
-
-impl DistributedOptimizer for GTopkSgdAggregator {
-    fn name(&self) -> &'static str {
-        "gtopk"
-    }
-
-    fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
-        self.pipeline.set_buffer_bytes(buffer_bytes);
-        self.codec.buckets.clear();
-    }
-
-    fn on_membership_change(&mut self) {
-        // Same reasoning as `set_buffer_bytes`: the re-plan invalidates
-        // bucket-indexed codec state along with the bucket plan.
-        self.pipeline.replan();
-        self.codec.buckets.clear();
-    }
-
-    fn aggregate(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        run_step(
-            &mut self.pipeline,
-            &mut self.codec,
-            &self.recorder,
-            grads,
-            comm,
-            |codec: &GTopkCodec| Some(codec.residual_norm() as f64),
-        )
-    }
-
-    fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder.set(recorder);
-    }
-
-    fn supports_overlap(&self) -> bool {
-        true
-    }
-
-    fn push_ready(
-        &mut self,
-        index: usize,
-        dims: &[usize],
-        grad: &[f32],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.pipeline
-            .push(&mut self.codec, index, dims, grad, comm, &*self.recorder)
-    }
-
-    fn finish_overlap(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.aggregate(grads, comm)
+        self.codec.residual_sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{DistributedOptimizer, GradViewMut};
     use acp_collectives::ThreadGroup;
 
     #[test]

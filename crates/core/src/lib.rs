@@ -12,14 +12,25 @@
 //! | [`SSgdAggregator`] | uncompressed averaging with tensor fusion | all-reduce |
 //! | [`SignSgdAggregator`] | Sign-SGD + majority vote (± error feedback) | all-gather |
 //! | [`TopkSgdAggregator`] | Top-k + scatter-average (± error feedback) | all-gather |
+//! | [`GTopkSgdAggregator`] | global top-k with error feedback | sparse all-reduce |
+//! | [`DgcAggregator`] | Deep Gradient Compression (momentum correction, accumulation, masking) | all-gather |
 //! | [`PowerSgdAggregator`] | Power-SGD, two fused all-reduces per step | all-reduce |
 //! | [`AcpSgdAggregator`] | **ACP-SGD**, one fused all-reduce per step | all-reduce |
+//!
+//! Each of them is one generic [`Fused<C>`](Fused): a [`FusedPipeline`]
+//! (fusion buckets, WFBP overlap, telemetry) driving a [`BucketCodec`] `C`
+//! that compresses one bucket into collectives and decodes the results.
+//! The type names above are aliases, e.g. `SSgdAggregator =
+//! Fused<MeanCodec>`, so the codec is the only thing that differs between
+//! algorithms. Power-SGD and ACP-SGD share one codec,
+//! [`LowRankCodec`](lowrank::LowRankCodec), over their per-matrix
+//! compressors.
 //!
 //! The low-rank aggregators reshape each parameter per the Power-SGD
 //! convention ([`acp_tensor::MatrixShape`]), keep per-parameter compression
 //! state (queries, error-feedback residuals), and fuse the transmitted
-//! factors into flat buffers ([`fusion`]) exactly as §IV-B describes —
-//! with ACP-SGD's compressed-buffer-size scaling.
+//! factors into one buffer per bucket ([`fusion`]) exactly as §IV-B
+//! describes — with ACP-SGD's compressed-buffer-size scaling.
 //!
 //! # Examples
 //!
@@ -50,10 +61,12 @@ pub mod error;
 pub mod factory;
 pub mod fusion;
 pub mod gtopk;
+pub mod lowrank;
 pub mod optimizer;
 pub mod pipeline;
 pub mod powersgd;
 pub mod signsgd;
+mod sparse;
 pub mod ssgd;
 pub mod topksgd;
 
@@ -63,10 +76,11 @@ pub use acpsgd::{AcpSgdAggregator, AcpSgdConfig};
 pub use dgc::{DgcAggregator, DgcConfig};
 pub use error::CoreError;
 pub use factory::{build_optimizer, Aggregator};
-pub use fusion::{bucket_ranges, FlatPacker};
+pub use fusion::bucket_ranges;
 pub use gtopk::GTopkSgdAggregator;
+pub use lowrank::LowRankConfig;
 pub use optimizer::{DistributedOptimizer, GradViewMut};
-pub use pipeline::{Bucket, BucketCodec, FusedPipeline, Round, StepStats};
+pub use pipeline::{Bucket, BucketCodec, Fused, FusedPipeline, Round, StepStats};
 pub use powersgd::{PowerSgdAggregator, PowerSgdConfig};
 pub use signsgd::{SignSgdAggregator, SignSgdConfig};
 pub use ssgd::{SSgdAggregator, DEFAULT_BUFFER_BYTES};

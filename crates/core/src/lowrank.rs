@@ -1,0 +1,396 @@
+//! The low-rank codec Power-SGD and ACP-SGD share: per-tensor state
+//! (matrices compressed, vectors sent raw), the fused factor all-reduce,
+//! and the uncompressed warm start. The two algorithms differ only in the
+//! per-matrix [`LowRankCompressor`] and in how many factor rounds a step
+//! takes.
+
+use std::fmt;
+
+use acp_collectives::{CollectiveOp, CollectiveResult, ReduceOp};
+use acp_compression::CompressError;
+use acp_tensor::{Matrix, MatrixShape};
+
+use crate::error::CoreError;
+use crate::pipeline::{Bucket, BucketCodec, Fused, Round, DEFAULT_BUFFER_BYTES};
+use crate::ssgd::{single_f32, MeanCodec};
+
+/// Configuration of the low-rank aggregators
+/// ([`PowerSgdAggregator`](crate::PowerSgdAggregator) and
+/// [`AcpSgdAggregator`](crate::AcpSgdAggregator)).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LowRankConfig {
+    /// Factorization rank (paper: 4 for CNNs, 32 for transformers).
+    pub rank: usize,
+    /// Maintain per-matrix error-feedback residuals (Algorithm 2) —
+    /// required for convergence parity with S-SGD (Fig. 7).
+    pub error_feedback: bool,
+    /// Reuse the previous aggregated factor as the power-iteration query —
+    /// the second Fig. 7 ingredient.
+    pub reuse: bool,
+    /// Base seed for the rank-shared random factor initialization.
+    pub seed: u64,
+    /// Number of initial steps aggregated *uncompressed* (exact averaging)
+    /// before low-rank compression kicks in — the `start_powerSGD_iter`
+    /// warm start of PyTorch's PowerSGD hook, which avoids compressing the
+    /// large, fast-changing early-training gradients.
+    pub warm_start_steps: u64,
+    /// Tensor-fusion buffer capacity in bytes (0 disables fusion).
+    pub buffer_bytes: usize,
+}
+
+impl Default for LowRankConfig {
+    fn default() -> Self {
+        LowRankConfig {
+            rank: 4,
+            error_feedback: true,
+            reuse: true,
+            seed: 42,
+            warm_start_steps: 0,
+            buffer_bytes: DEFAULT_BUFFER_BYTES,
+        }
+    }
+}
+
+impl LowRankConfig {
+    /// Sets the factorization rank.
+    #[must_use]
+    pub fn with_rank(mut self, rank: usize) -> Self {
+        self.rank = rank;
+        self
+    }
+
+    /// Enables or disables error feedback.
+    #[must_use]
+    pub fn with_error_feedback(mut self, error_feedback: bool) -> Self {
+        self.error_feedback = error_feedback;
+        self
+    }
+
+    /// Enables or disables query reuse.
+    #[must_use]
+    pub fn with_reuse(mut self, reuse: bool) -> Self {
+        self.reuse = reuse;
+        self
+    }
+
+    /// Sets the base seed for factor initialization.
+    #[must_use]
+    pub fn with_seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
+    /// Sets the number of uncompressed warm-start steps.
+    #[must_use]
+    pub fn with_warm_start_steps(mut self, steps: u64) -> Self {
+        self.warm_start_steps = steps;
+        self
+    }
+
+    /// Sets the tensor-fusion buffer capacity in bytes.
+    #[must_use]
+    pub fn with_buffer_bytes(mut self, buffer_bytes: usize) -> Self {
+        self.buffer_bytes = buffer_bytes;
+        self
+    }
+}
+
+/// What a [`LowRankCompressor`] makes of one all-reduced factor.
+#[derive(Debug)]
+pub enum LowRankRound {
+    /// Another local factor to all-reduce (Power-SGD's `Q` after `P̂`).
+    Next(Matrix),
+    /// The decompressed gradient approximation; the step is done.
+    Approx(Matrix),
+}
+
+/// The per-matrix compression state machine [`LowRankCodec`] drives.
+pub trait LowRankCompressor: Send + fmt::Debug + Sized {
+    /// Algorithm name the aggregator reports.
+    const NAME: &'static str;
+
+    /// Creates the state for a `rows × cols` gradient matrix; `seed` is
+    /// already specific to the tensor.
+    fn create(rows: usize, cols: usize, cfg: &LowRankConfig, seed: u64) -> Self;
+
+    /// Norm of the error-feedback residual (zero without error feedback).
+    fn error_norm(&self) -> f32;
+
+    /// The step's first local factor, from the local gradient.
+    ///
+    /// # Errors
+    ///
+    /// The compressor's phase or shape violation.
+    fn first_factor(&mut self, grad: &Matrix) -> Result<Matrix, CompressError>;
+
+    /// Consumes the all-reduced factor of the step's first round
+    /// (`first_round`) or of a later one.
+    ///
+    /// # Errors
+    ///
+    /// The compressor's phase or shape violation.
+    fn reduced(&mut self, factor: Matrix, first_round: bool)
+        -> Result<LowRankRound, CompressError>;
+}
+
+/// Per-tensor compression state.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // few instances, one per tensor
+enum LrState<S> {
+    /// Matrix-shaped tensor, compressed.
+    Matrix { rows: usize, cols: usize, state: S },
+    /// Vector tensor, transmitted uncompressed in the first round.
+    Vector,
+}
+
+/// Per-bucket codec state: one [`LrState`] per tensor in the bucket, plus
+/// what is in flight between rounds.
+#[derive(Debug)]
+struct LrBucket<S> {
+    states: Vec<LrState<S>>,
+    /// This round's local factors, one per matrix, in slot order.
+    factors: Vec<Matrix>,
+    /// The aggregated bucket, filled in as rounds complete.
+    out: Vec<f32>,
+    /// Whether the round in flight is the step's first.
+    first_round: bool,
+}
+
+/// The low-rank bucket codec: each round all-reduces one fused buffer of
+/// every matrix's local factor (plus, in the first round, the raw vector
+/// gradients) with mean; during the warm start it is a [`MeanCodec`].
+#[derive(Debug)]
+pub struct LowRankCodec<S> {
+    cfg: LowRankConfig,
+    /// Completed steps.
+    steps: u64,
+    /// Exact averaging this step (warm start)?
+    warm: bool,
+    buckets: Vec<Option<LrBucket<S>>>,
+}
+
+impl<S: LowRankCompressor> LowRankCodec<S> {
+    fn state_for(&mut self, bucket: &Bucket) -> &mut LrBucket<S> {
+        if self.buckets.len() <= bucket.index {
+            self.buckets.resize_with(bucket.index + 1, || None);
+        }
+        let cfg = self.cfg;
+        let tensors_start = bucket.tensors.start;
+        let dims = &bucket.dims;
+        self.buckets[bucket.index].get_or_insert_with(|| {
+            let states = dims
+                .iter()
+                .enumerate()
+                .map(|(slot, d)| match MatrixShape::from_tensor_shape(d) {
+                    MatrixShape::Matrix { rows, cols } => {
+                        // Seed by *global* tensor index so per-tensor random
+                        // streams are identical across ranks and independent
+                        // of the bucket layout.
+                        let i = tensors_start + slot;
+                        let seed = cfg.seed ^ (i as u64).wrapping_mul(0x9E3779B9);
+                        LrState::Matrix {
+                            rows,
+                            cols,
+                            state: S::create(rows, cols, &cfg, seed),
+                        }
+                    }
+                    MatrixShape::Vector { .. } => LrState::Vector,
+                })
+                .collect();
+            LrBucket {
+                states,
+                factors: Vec::new(),
+                out: Vec::new(),
+                first_round: true,
+            }
+        })
+    }
+
+    fn total_error_norm(&self) -> f32 {
+        self.buckets
+            .iter()
+            .flatten()
+            .flat_map(|b| &b.states)
+            .map(|s| match s {
+                LrState::Matrix { state, .. } => state.error_norm(),
+                LrState::Vector => 0.0,
+            })
+            .sum()
+    }
+
+    /// Every matrix's compression state, in bucket and slot order.
+    pub(crate) fn matrix_states(&self) -> impl Iterator<Item = &S> {
+        self.buckets
+            .iter()
+            .flatten()
+            .flat_map(|b| &b.states)
+            .filter_map(|s| match s {
+                LrState::Matrix { state, .. } => Some(state),
+                LrState::Vector => None,
+            })
+    }
+
+    fn in_warm_start(&self) -> bool {
+        self.steps < self.cfg.warm_start_steps
+    }
+}
+
+/// The `n` reduced values at `pos`, or a protocol error when the reduced
+/// buffer is shorter than what this rank's factors and vectors need.
+fn reduced_at(reduced: &[f32], pos: usize, n: usize) -> Result<&[f32], CoreError> {
+    reduced.get(pos..pos + n).ok_or(CoreError::CodecProtocol(
+        "reduced buffer shorter than the bucket's factors",
+    ))
+}
+
+impl<S: LowRankCompressor> BucketCodec for LowRankCodec<S> {
+    fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
+        if self.warm {
+            // No compression state touched, so the warm start never
+            // perturbs the factor schedule.
+            return MeanCodec.encode(bucket);
+        }
+        let data = std::mem::take(&mut bucket.data);
+        let st = self.state_for(bucket);
+        st.factors.clear();
+        st.first_round = true;
+        // One fused payload: a local factor per matrix, raw data per vector.
+        let mut buf = Vec::new();
+        for (slot, lr) in st.states.iter_mut().enumerate() {
+            let seg = &data[bucket.offsets[slot]..bucket.offsets[slot + 1]];
+            match lr {
+                LrState::Matrix { rows, cols, state } => {
+                    let m = Matrix::from_vec(*rows, *cols, seg.to_vec())
+                        .map_err(CompressError::from)?;
+                    let f = state.first_factor(&m)?;
+                    buf.extend_from_slice(f.as_slice());
+                    st.factors.push(f);
+                }
+                LrState::Vector => buf.extend_from_slice(seg),
+            }
+        }
+        bucket.payload_bytes += 4 * buf.len() as u64;
+        Ok(vec![CollectiveOp::AllReduce {
+            buf,
+            op: ReduceOp::Mean,
+        }])
+    }
+
+    fn decode(
+        &mut self,
+        bucket: &mut Bucket,
+        results: Vec<CollectiveResult>,
+    ) -> Result<Round, CoreError> {
+        if self.warm {
+            return MeanCodec.decode(bucket, results);
+        }
+        let reduced = single_f32(results)?;
+        let st = self
+            .buckets
+            .get_mut(bucket.index)
+            .and_then(Option::as_mut)
+            .ok_or(CoreError::CodecProtocol(
+                "decode without a pending encode state",
+            ))?;
+        let first_round = std::mem::replace(&mut st.first_round, false);
+        if first_round {
+            st.out = vec![0.0f32; bucket.elems];
+        }
+        let mut factors = std::mem::take(&mut st.factors).into_iter();
+        let mut next = Vec::new();
+        let mut pos = 0usize;
+        for (slot, lr) in st.states.iter_mut().enumerate() {
+            let (start, end) = (bucket.offsets[slot], bucket.offsets[slot + 1]);
+            match lr {
+                LrState::Matrix { state, .. } => {
+                    let mut f_hat = factors.next().ok_or(CoreError::CodecProtocol(
+                        "missing low-rank factor for matrix slot",
+                    ))?;
+                    let n = f_hat.as_slice().len();
+                    f_hat
+                        .as_mut_slice()
+                        .copy_from_slice(reduced_at(&reduced, pos, n)?);
+                    pos += n;
+                    match state.reduced(f_hat, first_round)? {
+                        LowRankRound::Next(f) => next.push(f),
+                        LowRankRound::Approx(approx) => {
+                            st.out[start..end].copy_from_slice(approx.as_slice());
+                        }
+                    }
+                }
+                LrState::Vector if first_round => {
+                    let n = end - start;
+                    st.out[start..end].copy_from_slice(reduced_at(&reduced, pos, n)?);
+                    pos += n;
+                }
+                LrState::Vector => {}
+            }
+        }
+        if next.is_empty() {
+            bucket.data = std::mem::take(&mut st.out);
+            return Ok(Round::Done);
+        }
+        let mut buf = Vec::new();
+        for f in &next {
+            buf.extend_from_slice(f.as_slice());
+        }
+        bucket.payload_bytes += 4 * buf.len() as u64;
+        st.factors = next;
+        Ok(Round::Next(vec![CollectiveOp::AllReduce {
+            buf,
+            op: ReduceOp::Mean,
+        }]))
+    }
+
+    fn name(&self) -> &'static str {
+        S::NAME
+    }
+
+    fn residual_norm(&self) -> Option<f64> {
+        (!self.warm && self.cfg.error_feedback).then(|| self.total_error_norm() as f64)
+    }
+
+    fn reset(&mut self) {
+        self.buckets.clear();
+    }
+
+    fn begin_step(&mut self) {
+        self.warm = self.in_warm_start();
+    }
+
+    fn end_step(&mut self) {
+        self.steps += 1;
+    }
+}
+
+impl<S: LowRankCompressor> Fused<LowRankCodec<S>> {
+    /// Creates the aggregator; per-tensor state initializes lazily on the
+    /// first [`DistributedOptimizer::aggregate`](crate::DistributedOptimizer::aggregate)
+    /// call.
+    pub fn new(cfg: LowRankConfig) -> Self {
+        Fused::from_codec(
+            cfg.buffer_bytes,
+            LowRankCodec {
+                cfg,
+                steps: 0,
+                warm: cfg.warm_start_steps > 0,
+                buckets: Vec::new(),
+            },
+        )
+    }
+
+    /// Number of completed aggregation steps.
+    pub fn steps(&self) -> u64 {
+        self.codec.steps
+    }
+
+    /// Whether the next step still uses the uncompressed warm start.
+    pub fn in_warm_start(&self) -> bool {
+        self.codec.in_warm_start()
+    }
+
+    /// Sum of per-matrix error-feedback residual norms (diagnostics).
+    pub fn total_error_norm(&self) -> f32 {
+        self.codec.total_error_norm()
+    }
+}

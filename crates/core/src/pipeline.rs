@@ -27,11 +27,11 @@ use std::fmt;
 use std::ops::Range;
 
 use acp_collectives::{wait_all, CollectiveOp, CollectiveResult, Communicator, PendingOp};
-use acp_telemetry::{keys, Recorder, RecorderCell, SpanGuard};
+use acp_telemetry::{keys, Recorder, RecorderCell, RecorderHandle, SpanGuard};
 
 use crate::error::CoreError;
 use crate::fusion::bucket_ranges;
-use crate::optimizer::{check_shapes, record_step_metrics, GradViewMut};
+use crate::optimizer::{check_shapes, DistributedOptimizer, GradViewMut};
 
 /// Default DDP fusion buffer: 25 MB.
 pub const DEFAULT_BUFFER_BYTES: usize = 25 * 1024 * 1024;
@@ -106,10 +106,33 @@ pub trait BucketCodec: Send {
         bucket: &mut Bucket,
         results: Vec<CollectiveResult>,
     ) -> Result<Round, CoreError>;
+
+    /// Short algorithm name, reported by [`DistributedOptimizer::name`].
+    fn name(&self) -> &'static str {
+        std::any::type_name::<Self>()
+    }
+
+    /// Error-feedback residual norm to record as
+    /// [`keys::EF_RESIDUAL_NORM`] after a step, or `None` when this step
+    /// kept no residual. Called only when a recorder is enabled.
+    fn residual_norm(&self) -> Option<f64> {
+        None
+    }
+
+    /// Drops all state keyed by [`Bucket::index`]; called when the bucket
+    /// plan is rebuilt (fusion re-plan or membership change), since a new
+    /// plan means new buckets.
+    fn reset(&mut self) {}
+
+    /// Called before each step's first `push` and before its `finish`.
+    fn begin_step(&mut self) {}
+
+    /// Called after each successful step.
+    fn end_step(&mut self) {}
 }
 
-/// Byte/time accounting for one pipeline step, for
-/// `record_step_metrics`-style reporting by the owning aggregator.
+/// Byte/time accounting for one pipeline step, for the per-step telemetry
+/// [`Fused`] records.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepStats {
     /// Dense gradient bytes the step aggregated.
@@ -457,67 +480,106 @@ impl FusedPipeline {
     }
 }
 
-/// Runs one full blocking step through `pipeline` + `codec` and records
-/// the standard per-step telemetry; the shared tail of every aggregator's
-/// `aggregate`/`finish_overlap`. `residual` is consulted only when the
-/// recorder is enabled.
-pub(crate) fn run_step<C: BucketCodec>(
-    pipeline: &mut FusedPipeline,
-    codec: &mut C,
-    recorder: &RecorderCell,
-    grads: &mut [GradViewMut<'_>],
-    comm: &mut dyn Communicator,
-    residual: impl FnOnce(&C) -> Option<f64>,
-) -> Result<(), CoreError> {
-    let enabled = recorder.enabled();
-    let stats = pipeline.finish(codec, grads, comm, &**recorder)?;
-    if enabled {
-        record_step_metrics(
-            &**recorder,
-            stats.dense_bytes,
-            stats.payload_bytes,
-            stats.compress_us,
-            stats.step_start_us,
-            residual(codec),
-        );
+/// An aggregator: one [`FusedPipeline`] driving one [`BucketCodec`], plus
+/// the telemetry recorder. Every aggregator in this crate is a `Fused`
+/// over its codec (e.g. [`SSgdAggregator`](crate::SSgdAggregator) is
+/// `Fused<MeanCodec>`), so the codec is the only thing that differs
+/// between algorithms.
+#[derive(Debug, Default)]
+pub struct Fused<C: BucketCodec> {
+    pipeline: FusedPipeline,
+    pub(crate) codec: C,
+    recorder: RecorderCell,
+}
+
+impl<C: BucketCodec> Fused<C> {
+    pub(crate) fn from_codec(buffer_bytes: usize, codec: C) -> Self {
+        Fused {
+            pipeline: FusedPipeline::new(buffer_bytes),
+            codec,
+            recorder: RecorderCell::default(),
+        }
     }
-    Ok(())
+}
+
+impl<C: BucketCodec> DistributedOptimizer for Fused<C> {
+    fn name(&self) -> &'static str {
+        self.codec.name()
+    }
+
+    fn aggregate(
+        &mut self,
+        grads: &mut [GradViewMut<'_>],
+        comm: &mut dyn Communicator,
+    ) -> Result<(), CoreError> {
+        self.codec.begin_step();
+        let enabled = self.recorder.enabled();
+        let stats = self
+            .pipeline
+            .finish(&mut self.codec, grads, comm, &*self.recorder)?;
+        if enabled {
+            let rec = &*self.recorder;
+            rec.add(keys::COMPRESS_DENSE_BYTES, stats.dense_bytes);
+            rec.add(keys::COMPRESS_PAYLOAD_BYTES, stats.payload_bytes);
+            rec.observe(
+                keys::COMPRESS_RATIO,
+                stats.dense_bytes as f64 / stats.payload_bytes.max(1) as f64,
+            );
+            rec.observe(keys::COMPRESS_TIME_US, stats.compress_us as f64);
+            if let Some(norm) = self.codec.residual_norm() {
+                rec.observe(keys::EF_RESIDUAL_NORM, norm);
+            }
+            rec.observe(
+                keys::STEP_AGGREGATE_US,
+                rec.now_us().saturating_sub(stats.step_start_us) as f64,
+            );
+        }
+        self.codec.end_step();
+        Ok(())
+    }
+
+    fn set_recorder(&mut self, recorder: RecorderHandle) {
+        self.recorder.set(recorder);
+    }
+
+    fn push_ready(
+        &mut self,
+        index: usize,
+        dims: &[usize],
+        grad: &[f32],
+        comm: &mut dyn Communicator,
+    ) -> Result<(), CoreError> {
+        self.codec.begin_step();
+        self.pipeline
+            .push(&mut self.codec, index, dims, grad, comm, &*self.recorder)
+    }
+
+    fn finish_overlap(
+        &mut self,
+        grads: &mut [GradViewMut<'_>],
+        comm: &mut dyn Communicator,
+    ) -> Result<(), CoreError> {
+        self.aggregate(grads, comm)
+    }
+
+    fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
+        self.pipeline.set_buffer_bytes(buffer_bytes);
+        self.codec.reset();
+    }
+
+    fn on_membership_change(&mut self) {
+        self.pipeline.replan();
+        self.codec.reset();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ssgd::MeanCodec;
     use acp_collectives::{ReduceOp, ThreadGroup};
     use acp_telemetry::{noop, InMemoryRecorder};
     use std::sync::Arc;
-
-    /// Mean all-reduce per bucket — the S-SGD codec, inlined for tests.
-    #[derive(Default)]
-    struct MeanCodec;
-
-    impl BucketCodec for MeanCodec {
-        fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
-            bucket.payload_bytes += 4 * bucket.elems as u64;
-            Ok(vec![CollectiveOp::AllReduce {
-                buf: std::mem::take(&mut bucket.data),
-                op: ReduceOp::Mean,
-            }])
-        }
-
-        fn decode(
-            &mut self,
-            bucket: &mut Bucket,
-            results: Vec<CollectiveResult>,
-        ) -> Result<Round, CoreError> {
-            let mut results = results.into_iter();
-            bucket.data = results
-                .next()
-                .expect("one op per round")
-                .into_f32()
-                .map_err(CoreError::from)?;
-            Ok(Round::Done)
-        }
-    }
 
     /// Two dependent mean all-reduce rounds (halve, reduce, halve, reduce)
     /// to exercise `Round::Next`.

@@ -1,306 +1,63 @@
 //! Power-SGD distributed aggregation: two fused all-reduces per step
 //! (Algorithm 1 wired to a real communicator).
 
-use acp_collectives::{CollectiveOp, CollectiveResult, Communicator, ReduceOp};
 use acp_compression::powersgd::{PowerSgd, PowerSgdConfig as PowerSgdCompressionConfig};
-use acp_telemetry::{RecorderCell, RecorderHandle};
-use acp_tensor::{Matrix, MatrixShape};
+use acp_compression::CompressError;
+use acp_tensor::Matrix;
 
-use crate::error::CoreError;
-use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{run_step, Bucket, BucketCodec, FusedPipeline, Round, DEFAULT_BUFFER_BYTES};
+use crate::lowrank::{LowRankCodec, LowRankCompressor, LowRankConfig, LowRankRound};
+use crate::pipeline::Fused;
 
-/// Configuration of [`PowerSgdAggregator`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerSgdConfig {
-    /// Factorization rank.
-    pub rank: usize,
-    /// Maintain per-matrix error-feedback residuals.
-    pub error_feedback: bool,
-    /// Reuse the previous step's factor as the power-iteration query.
-    pub reuse: bool,
-    /// Base seed for the rank-shared random query initialization.
-    pub seed: u64,
-    /// Number of initial steps aggregated uncompressed (the
-    /// `start_powerSGD_iter` warm start of PyTorch's PowerSGD hook).
-    pub warm_start_steps: u64,
-    /// Tensor-fusion buffer capacity in bytes (0 disables fusion).
-    pub buffer_bytes: usize,
-}
-
-impl Default for PowerSgdConfig {
-    fn default() -> Self {
-        PowerSgdConfig {
-            rank: 4,
-            error_feedback: true,
-            reuse: true,
-            seed: 42,
-            warm_start_steps: 0,
-            buffer_bytes: DEFAULT_BUFFER_BYTES,
-        }
-    }
-}
-
-impl PowerSgdConfig {
-    /// Sets the factorization rank.
-    #[must_use]
-    pub fn with_rank(mut self, rank: usize) -> Self {
-        self.rank = rank;
-        self
-    }
-
-    /// Enables or disables error feedback.
-    #[must_use]
-    pub fn with_error_feedback(mut self, error_feedback: bool) -> Self {
-        self.error_feedback = error_feedback;
-        self
-    }
-
-    /// Enables or disables query reuse.
-    #[must_use]
-    pub fn with_reuse(mut self, reuse: bool) -> Self {
-        self.reuse = reuse;
-        self
-    }
-
-    /// Sets the base seed for query initialization.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the number of uncompressed warm-start steps.
-    #[must_use]
-    pub fn with_warm_start_steps(mut self, steps: u64) -> Self {
-        self.warm_start_steps = steps;
-        self
-    }
-
-    /// Sets the tensor-fusion buffer capacity in bytes.
-    #[must_use]
-    pub fn with_buffer_bytes(mut self, buffer_bytes: usize) -> Self {
-        self.buffer_bytes = buffer_bytes;
-        self
-    }
-}
+/// Configuration of [`PowerSgdAggregator`]: the [`LowRankConfig`] it shares
+/// with ACP-SGD.
+pub type PowerSgdConfig = LowRankConfig;
 
 /// Former name of [`PowerSgdConfig`].
 #[deprecated(since = "0.2.0", note = "renamed to `PowerSgdConfig`")]
 pub type PowerSgdAggregatorConfig = PowerSgdConfig; // allow_verify(reason = "the shim definition itself")
 
-/// Per-tensor compression state.
-#[derive(Debug)]
-#[allow(clippy::large_enum_variant)] // few instances, one per tensor
-enum LrState {
-    /// Matrix-shaped tensor compressed with Power-SGD.
-    Matrix {
-        rows: usize,
-        cols: usize,
-        state: PowerSgd,
-    },
-    /// Vector tensor transmitted uncompressed.
-    Vector,
-}
+/// Round one all-reduces the fused `P` factors (plus raw vectors); round
+/// two, dispatched from `decode`, all-reduces the fused `Q` factors.
+impl LowRankCompressor for PowerSgd {
+    const NAME: &'static str = "powersgd";
 
-/// Per-bucket codec state: per-tensor compression state plus the factors
-/// and partial output in flight between rounds.
-#[derive(Debug)]
-struct PowerBucketState {
-    states: Vec<LrState>,
-    p_factors: Vec<Matrix>,
-    q_factors: Vec<Matrix>,
-    out: Vec<f32>,
-    in_q_round: bool,
-}
-
-/// The Power-SGD bucket codec: round one all-reduces the fused `P` factors
-/// plus raw vectors, round two (dispatched from `decode` via
-/// [`Round::Next`]) all-reduces the fused `Q` factors.
-#[derive(Debug)]
-struct PowerCodec {
-    cfg: PowerSgdConfig,
-    /// Exact averaging this step (warm start)?
-    warm: bool,
-    buckets: Vec<Option<PowerBucketState>>,
-}
-
-impl PowerCodec {
-    fn state_for(&mut self, bucket: &Bucket) -> &mut PowerBucketState {
-        if self.buckets.len() <= bucket.index {
-            self.buckets.resize_with(bucket.index + 1, || None);
-        }
-        let cfg = self.cfg;
-        let tensors_start = bucket.tensors.start;
-        let dims = &bucket.dims;
-        self.buckets[bucket.index].get_or_insert_with(|| {
-            let states = dims
-                .iter()
-                .enumerate()
-                .map(|(slot, d)| match MatrixShape::from_tensor_shape(d) {
-                    MatrixShape::Matrix { rows, cols } => {
-                        // Seed by *global* tensor index: distinct per-tensor
-                        // streams, identical across ranks and bucket layouts.
-                        let i = tensors_start + slot;
-                        let ccfg = PowerSgdCompressionConfig {
-                            rank: cfg.rank,
-                            error_feedback: cfg.error_feedback,
-                            reuse: cfg.reuse,
-                            seed: cfg.seed ^ (i as u64).wrapping_mul(0x9E3779B9),
-                            ..PowerSgdCompressionConfig::default()
-                        };
-                        LrState::Matrix {
-                            rows,
-                            cols,
-                            state: PowerSgd::new(rows, cols, ccfg),
-                        }
-                    }
-                    MatrixShape::Vector { .. } => LrState::Vector,
-                })
-                .collect();
-            PowerBucketState {
-                states,
-                p_factors: Vec::new(),
-                q_factors: Vec::new(),
-                out: Vec::new(),
-                in_q_round: false,
-            }
-        })
+    fn create(rows: usize, cols: usize, cfg: &LowRankConfig, seed: u64) -> Self {
+        PowerSgd::new(
+            rows,
+            cols,
+            PowerSgdCompressionConfig {
+                rank: cfg.rank,
+                error_feedback: cfg.error_feedback,
+                reuse: cfg.reuse,
+                seed,
+                ..PowerSgdCompressionConfig::default()
+            },
+        )
     }
 
-    fn total_error_norm(&self) -> f32 {
-        self.buckets
-            .iter()
-            .flatten()
-            .flat_map(|b| &b.states)
-            .map(|s| match s {
-                LrState::Matrix { state, .. } => state.error_norm(),
-                LrState::Vector => 0.0,
-            })
-            .sum()
-    }
-}
-
-impl BucketCodec for PowerCodec {
-    fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
-        if self.warm {
-            bucket.payload_bytes += 4 * bucket.elems as u64;
-            return Ok(vec![CollectiveOp::AllReduce {
-                buf: std::mem::take(&mut bucket.data),
-                op: ReduceOp::Mean,
-            }]);
-        }
-        let offsets = bucket.offsets.clone();
-        let elems = bucket.elems;
-        let data = std::mem::take(&mut bucket.data);
-        let st = self.state_for(bucket);
-        st.p_factors.clear();
-        st.q_factors.clear();
-        st.out = vec![0.0f32; elems];
-        st.in_q_round = false;
-        // Phase 1 payload: local P factor per matrix, raw data per vector.
-        let mut buf = Vec::new();
-        for (slot, lr) in st.states.iter_mut().enumerate() {
-            let seg = &data[offsets[slot]..offsets[slot + 1]];
-            match lr {
-                LrState::Matrix { rows, cols, state } => {
-                    let m = Matrix::from_vec(*rows, *cols, seg.to_vec())
-                        .map_err(acp_compression::CompressError::from)?;
-                    let p = state.try_compute_p(&m)?;
-                    buf.extend_from_slice(p.as_slice());
-                    st.p_factors.push(p);
-                }
-                LrState::Vector => buf.extend_from_slice(seg),
-            }
-        }
-        bucket.payload_bytes += 4 * buf.len() as u64;
-        Ok(vec![CollectiveOp::AllReduce {
-            buf,
-            op: ReduceOp::Mean,
-        }])
+    fn error_norm(&self) -> f32 {
+        PowerSgd::error_norm(self)
     }
 
-    fn decode(
+    fn first_factor(&mut self, grad: &Matrix) -> Result<Matrix, CompressError> {
+        self.try_compute_p(grad)
+    }
+
+    fn reduced(
         &mut self,
-        bucket: &mut Bucket,
-        results: Vec<CollectiveResult>,
-    ) -> Result<Round, CoreError> {
-        let reduced = results
-            .into_iter()
-            .next()
-            .ok_or(CoreError::CodecProtocol(
-                "expected one collective result per round",
-            ))?
-            .into_f32()
-            .map_err(CoreError::from)?;
-        if self.warm {
-            bucket.data = reduced;
-            return Ok(Round::Done);
+        factor: Matrix,
+        first_round: bool,
+    ) -> Result<LowRankRound, CompressError> {
+        if first_round {
+            self.try_compute_q(factor).map(LowRankRound::Next)
+        } else {
+            self.try_finish(factor).map(LowRankRound::Approx)
         }
-        let st = self.buckets[bucket.index]
-            .as_mut()
-            .ok_or(CoreError::CodecProtocol(
-                "decode without a pending encode state",
-            ))?;
-        if !st.in_q_round {
-            // Round 1 result: aggregated Ps + exact vector means. Compute
-            // the local Q factors and (if any matrices) go one more round.
-            let mut p_factors = std::mem::take(&mut st.p_factors).into_iter();
-            let mut pos = 0usize;
-            let mut q_buf = Vec::new();
-            for (slot, lr) in st.states.iter_mut().enumerate() {
-                let (start, end) = (bucket.offsets[slot], bucket.offsets[slot + 1]);
-                match lr {
-                    LrState::Matrix { state, .. } => {
-                        let mut p_hat = p_factors.next().ok_or(CoreError::CodecProtocol(
-                            "missing low-rank factor for matrix slot",
-                        ))?;
-                        let n = p_hat.as_slice().len();
-                        p_hat.as_mut_slice().copy_from_slice(&reduced[pos..pos + n]);
-                        pos += n;
-                        let q = state.try_compute_q(p_hat).map_err(CoreError::from)?;
-                        q_buf.extend_from_slice(q.as_slice());
-                        st.q_factors.push(q);
-                    }
-                    LrState::Vector => {
-                        let n = end - start;
-                        st.out[start..end].copy_from_slice(&reduced[pos..pos + n]);
-                        pos += n;
-                    }
-                }
-            }
-            if st.q_factors.is_empty() {
-                bucket.data = std::mem::take(&mut st.out);
-                return Ok(Round::Done);
-            }
-            bucket.payload_bytes += 4 * q_buf.len() as u64;
-            st.in_q_round = true;
-            return Ok(Round::Next(vec![CollectiveOp::AllReduce {
-                buf: q_buf,
-                op: ReduceOp::Mean,
-            }]));
-        }
-        // Round 2 result: aggregated Qs. Decompress into the output.
-        st.in_q_round = false;
-        let mut q_factors = std::mem::take(&mut st.q_factors).into_iter();
-        let mut pos = 0usize;
-        for (slot, lr) in st.states.iter_mut().enumerate() {
-            let (start, end) = (bucket.offsets[slot], bucket.offsets[slot + 1]);
-            if let LrState::Matrix { state, .. } = lr {
-                let mut q_hat = q_factors.next().ok_or(CoreError::CodecProtocol(
-                    "missing low-rank factor for matrix slot",
-                ))?;
-                let n = q_hat.as_slice().len();
-                q_hat.as_mut_slice().copy_from_slice(&reduced[pos..pos + n]);
-                pos += n;
-                let approx = state.try_finish(q_hat).map_err(CoreError::from)?;
-                st.out[start..end].copy_from_slice(approx.as_slice());
-            }
-        }
-        bucket.data = std::mem::take(&mut st.out);
-        Ok(Round::Done)
     }
 }
+
+/// The Power-SGD bucket codec.
+pub type PowerCodec = LowRankCodec<PowerSgd>;
 
 /// Power-SGD aggregator over real collectives.
 ///
@@ -309,114 +66,15 @@ impl BucketCodec for PowerCodec {
 /// orthogonalize and compute the `Q` factors, all-reduce the fused `Q`s,
 /// decompress. Two collectives per bucket, the second blocked on the first
 /// — the structural cost ACP-SGD removes. Runs on the shared
-/// [`FusedPipeline`], so buckets still overlap with each other (and with
-/// backward compute under WFBP) even though each bucket's rounds serialize.
-#[derive(Debug)]
-pub struct PowerSgdAggregator {
-    cfg: PowerSgdConfig,
-    pipeline: FusedPipeline,
-    codec: PowerCodec,
-    steps: u64,
-    recorder: RecorderCell,
-}
-
-impl PowerSgdAggregator {
-    /// Creates the aggregator; per-tensor state initializes lazily on the
-    /// first [`DistributedOptimizer::aggregate`] call.
-    pub fn new(cfg: PowerSgdConfig) -> Self {
-        PowerSgdAggregator {
-            cfg,
-            pipeline: FusedPipeline::new(cfg.buffer_bytes),
-            codec: PowerCodec {
-                cfg,
-                warm: cfg.warm_start_steps > 0,
-                buckets: Vec::new(),
-            },
-            steps: 0,
-            recorder: RecorderCell::default(),
-        }
-    }
-
-    /// Whether the next step still uses the uncompressed warm start.
-    pub fn in_warm_start(&self) -> bool {
-        self.steps < self.cfg.warm_start_steps
-    }
-
-    /// Sum of per-matrix error-feedback residual norms (diagnostics).
-    pub fn total_error_norm(&self) -> f32 {
-        self.codec.total_error_norm()
-    }
-}
-
-impl DistributedOptimizer for PowerSgdAggregator {
-    fn name(&self) -> &'static str {
-        "powersgd"
-    }
-
-    fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
-        self.pipeline.set_buffer_bytes(buffer_bytes);
-        self.codec.buckets.clear();
-    }
-
-    fn on_membership_change(&mut self) {
-        // Same reasoning as `set_buffer_bytes`: the re-plan invalidates
-        // bucket-indexed codec state along with the bucket plan.
-        self.pipeline.replan();
-        self.codec.buckets.clear();
-    }
-
-    fn aggregate(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.codec.warm = self.in_warm_start();
-        let warm = self.codec.warm;
-        let ef = self.cfg.error_feedback;
-        run_step(
-            &mut self.pipeline,
-            &mut self.codec,
-            &self.recorder,
-            grads,
-            comm,
-            |codec: &PowerCodec| (!warm && ef).then(|| codec.total_error_norm() as f64),
-        )?;
-        self.steps += 1;
-        Ok(())
-    }
-
-    fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder.set(recorder);
-    }
-
-    fn supports_overlap(&self) -> bool {
-        true
-    }
-
-    fn push_ready(
-        &mut self,
-        index: usize,
-        dims: &[usize],
-        grad: &[f32],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.codec.warm = self.in_warm_start();
-        self.pipeline
-            .push(&mut self.codec, index, dims, grad, comm, &*self.recorder)
-    }
-
-    fn finish_overlap(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.aggregate(grads, comm)
-    }
-}
+/// [`FusedPipeline`](crate::FusedPipeline), so buckets still overlap with
+/// each other (and with backward compute under WFBP) even though each
+/// bucket's rounds serialize.
+pub type PowerSgdAggregator = Fused<PowerCodec>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{DistributedOptimizer, GradViewMut};
     use acp_collectives::ThreadGroup;
     use acp_tensor::vecops::relative_error;
 
@@ -527,62 +185,5 @@ mod tests {
             .sum::<f32>()
             .sqrt();
         assert!((diff - opt.total_error_norm()).abs() < 1e-4);
-    }
-
-    #[test]
-    fn overlapped_pushes_match_blocking_bitwise() {
-        // The two-round (P then Q) dependency must survive WFBP pushes and
-        // multi-bucket plans bit-exactly.
-        let run = |overlapped: bool| {
-            ThreadGroup::run(3, move |mut comm| {
-                let cfg = PowerSgdConfig::default().with_rank(2).with_buffer_bytes(64);
-                let mut opt = PowerSgdAggregator::new(cfg);
-                let dims = [vec![4usize, 4], vec![6usize], vec![3usize, 5]];
-                let mut out = Vec::new();
-                for step in 0..4 {
-                    let r = comm.rank_id().as_usize() as f32 + 1.0;
-                    let s = step as f32 + 1.0;
-                    let mut grads: Vec<Vec<f32>> = dims
-                        .iter()
-                        .enumerate()
-                        .map(|(t, d)| {
-                            let n: usize = d.iter().product();
-                            (0..n)
-                                .map(|i| ((i + t) as f32 * 0.37 * r + s).sin())
-                                .collect()
-                        })
-                        .collect();
-                    let mut views: Vec<GradViewMut<'_>>;
-                    if overlapped {
-                        for i in (0..dims.len()).rev() {
-                            let g = grads[i].clone();
-                            opt.push_ready(i, &dims[i], &g, &mut comm).unwrap();
-                        }
-                        views = dims
-                            .iter()
-                            .zip(grads.iter_mut())
-                            .map(|(d, g)| GradViewMut { dims: d, grad: g })
-                            .collect();
-                        opt.finish_overlap(&mut views, &mut comm).unwrap();
-                    } else {
-                        views = dims
-                            .iter()
-                            .zip(grads.iter_mut())
-                            .map(|(d, g)| GradViewMut { dims: d, grad: g })
-                            .collect();
-                        opt.aggregate(&mut views, &mut comm).unwrap();
-                    }
-                    out = grads.concat();
-                }
-                out
-            })
-        };
-        let blocking = run(false);
-        let overlapped = run(true);
-        for (b, o) in blocking.iter().zip(&overlapped) {
-            for (x, y) in b.iter().zip(o) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
     }
 }

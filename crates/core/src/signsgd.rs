@@ -5,13 +5,11 @@
 //! evaluation configures (§III-A), so one bit-packed payload and one scale
 //! travel per bucket per step.
 
-use acp_collectives::{CollectiveOp, CollectiveResult, Communicator};
+use acp_collectives::{CollectiveOp, CollectiveResult};
 use acp_compression::{Compressor, ErrorFeedback, Payload, SignSgd};
-use acp_telemetry::{RecorderCell, RecorderHandle};
 
 use crate::error::CoreError;
-use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{run_step, Bucket, BucketCodec, FusedPipeline, Round, DEFAULT_BUFFER_BYTES};
+use crate::pipeline::{Bucket, BucketCodec, Fused, Round, DEFAULT_BUFFER_BYTES};
 
 /// Configuration of [`SignSgdAggregator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,14 +48,14 @@ impl SignSgdConfig {
 /// The Sign-SGD bucket codec: one bit-packed sign payload plus one scale
 /// per bucket, all-gathered and majority-voted.
 #[derive(Debug)]
-struct SignCodec {
+pub struct SignCodec {
     error_feedback: bool,
     /// Per-bucket error-feedback compressors (unused on the raw path).
     buckets: Vec<Option<ErrorFeedback<SignSgd>>>,
 }
 
 impl SignCodec {
-    fn residual_norm(&self) -> f32 {
+    fn residual_sum(&self) -> f32 {
         self.buckets
             .iter()
             .flatten()
@@ -126,6 +124,18 @@ impl BucketCodec for SignCodec {
         bucket.data = voted;
         Ok(Round::Done)
     }
+
+    fn name(&self) -> &'static str {
+        "signsgd"
+    }
+
+    fn residual_norm(&self) -> Option<f64> {
+        self.error_feedback.then(|| self.residual_sum() as f64)
+    }
+
+    fn reset(&mut self) {
+        self.buckets.clear();
+    }
 }
 
 /// Sign-SGD majority-vote aggregator.
@@ -133,12 +143,7 @@ impl BucketCodec for SignCodec {
 /// The aggregated "gradient" every rank receives is
 /// `sign(majority) · mean(scale)` per element — a biased estimate, which is
 /// why [`SignSgdAggregator::with_error_feedback`] matters for convergence.
-#[derive(Debug)]
-pub struct SignSgdAggregator {
-    pipeline: FusedPipeline,
-    codec: SignCodec,
-    recorder: RecorderCell,
-}
+pub type SignSgdAggregator = Fused<SignCodec>;
 
 impl SignSgdAggregator {
     /// Plain scaled Sign-SGD without error feedback.
@@ -155,20 +160,19 @@ impl SignSgdAggregator {
 
     /// Creates the aggregator from a [`SignSgdConfig`].
     pub fn from_config(cfg: SignSgdConfig) -> Self {
-        SignSgdAggregator {
-            pipeline: FusedPipeline::new(cfg.buffer_bytes),
-            codec: SignCodec {
+        Fused::from_codec(
+            cfg.buffer_bytes,
+            SignCodec {
                 error_feedback: cfg.error_feedback,
                 buckets: Vec::new(),
             },
-            recorder: RecorderCell::default(),
-        }
+        )
     }
 
     /// Sum of per-bucket error-feedback residual norms (zero without error
     /// feedback).
     pub fn residual_norm(&self) -> f32 {
-        self.codec.residual_norm()
+        self.codec.residual_sum()
     }
 }
 
@@ -178,70 +182,10 @@ impl Default for SignSgdAggregator {
     }
 }
 
-impl DistributedOptimizer for SignSgdAggregator {
-    fn name(&self) -> &'static str {
-        "signsgd"
-    }
-
-    fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
-        self.pipeline.set_buffer_bytes(buffer_bytes);
-        self.codec.buckets.clear();
-    }
-
-    fn on_membership_change(&mut self) {
-        // Same reasoning as `set_buffer_bytes`: the re-plan invalidates
-        // bucket-indexed codec state along with the bucket plan.
-        self.pipeline.replan();
-        self.codec.buckets.clear();
-    }
-
-    fn aggregate(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        let ef = self.codec.error_feedback;
-        run_step(
-            &mut self.pipeline,
-            &mut self.codec,
-            &self.recorder,
-            grads,
-            comm,
-            |codec: &SignCodec| ef.then(|| codec.residual_norm() as f64),
-        )
-    }
-
-    fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder.set(recorder);
-    }
-
-    fn supports_overlap(&self) -> bool {
-        true
-    }
-
-    fn push_ready(
-        &mut self,
-        index: usize,
-        dims: &[usize],
-        grad: &[f32],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.pipeline
-            .push(&mut self.codec, index, dims, grad, comm, &*self.recorder)
-    }
-
-    fn finish_overlap(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.aggregate(grads, comm)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{DistributedOptimizer, GradViewMut};
     use acp_collectives::ThreadGroup;
 
     #[test]

@@ -1,18 +1,16 @@
 //! The well-optimized S-SGD baseline: uncompressed gradient averaging with
 //! tensor fusion over ring all-reduce (PyTorch-DDP semantics).
 
-use acp_collectives::{CollectiveOp, CollectiveResult, Communicator, ReduceOp};
-use acp_telemetry::{RecorderCell, RecorderHandle};
+use acp_collectives::{CollectiveOp, CollectiveResult, ReduceOp};
 
 use crate::error::CoreError;
-use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{run_step, Bucket, BucketCodec, FusedPipeline, Round};
+use crate::pipeline::{Bucket, BucketCodec, Fused, Round};
 
 pub use crate::pipeline::DEFAULT_BUFFER_BYTES;
 
 /// Codec: one fused mean all-reduce per bucket, no compression.
 #[derive(Debug, Default)]
-pub(crate) struct MeanCodec;
+pub struct MeanCodec;
 
 impl BucketCodec for MeanCodec {
     fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
@@ -28,16 +26,25 @@ impl BucketCodec for MeanCodec {
         bucket: &mut Bucket,
         results: Vec<CollectiveResult>,
     ) -> Result<Round, CoreError> {
-        bucket.data = results
-            .into_iter()
-            .next()
-            .ok_or(CoreError::CodecProtocol(
-                "expected one collective result per round",
-            ))?
-            .into_f32()
-            .map_err(CoreError::from)?;
+        bucket.data = single_f32(results)?;
         Ok(Round::Done)
     }
+
+    fn name(&self) -> &'static str {
+        "ssgd"
+    }
+}
+
+/// The `f32` buffer of a round that dispatched one dense collective.
+pub(crate) fn single_f32(results: Vec<CollectiveResult>) -> Result<Vec<f32>, CoreError> {
+    results
+        .into_iter()
+        .next()
+        .ok_or(CoreError::CodecProtocol(
+            "expected one collective result per round",
+        ))?
+        .into_f32()
+        .map_err(CoreError::from)
 }
 
 /// Uncompressed gradient-averaging aggregator.
@@ -58,12 +65,7 @@ impl BucketCodec for MeanCodec {
 /// });
 /// assert_eq!(results[0], vec![1.0, 1.0, 1.0]); // mean of 0 and 2
 /// ```
-#[derive(Debug, Default)]
-pub struct SSgdAggregator {
-    pipeline: FusedPipeline,
-    codec: MeanCodec,
-    recorder: RecorderCell,
-}
+pub type SSgdAggregator = Fused<MeanCodec>;
 
 impl SSgdAggregator {
     /// Creates the aggregator with the default 25 MB fusion buffer.
@@ -75,73 +77,14 @@ impl SSgdAggregator {
     /// (0 disables fusion).
     #[must_use]
     pub fn with_buffer_bytes(buffer_bytes: usize) -> Self {
-        SSgdAggregator {
-            pipeline: FusedPipeline::new(buffer_bytes),
-            codec: MeanCodec,
-            recorder: RecorderCell::default(),
-        }
-    }
-}
-
-impl DistributedOptimizer for SSgdAggregator {
-    fn name(&self) -> &'static str {
-        "ssgd"
-    }
-
-    fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
-        self.pipeline.set_buffer_bytes(buffer_bytes);
-    }
-
-    fn on_membership_change(&mut self) {
-        self.pipeline.replan();
-    }
-
-    fn aggregate(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        run_step(
-            &mut self.pipeline,
-            &mut self.codec,
-            &self.recorder,
-            grads,
-            comm,
-            |_| None,
-        )
-    }
-
-    fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder.set(recorder);
-    }
-
-    fn supports_overlap(&self) -> bool {
-        true
-    }
-
-    fn push_ready(
-        &mut self,
-        index: usize,
-        dims: &[usize],
-        grad: &[f32],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.pipeline
-            .push(&mut self.codec, index, dims, grad, comm, &*self.recorder)
-    }
-
-    fn finish_overlap(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.aggregate(grads, comm)
+        Fused::from_codec(buffer_bytes, MeanCodec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{DistributedOptimizer, GradViewMut};
     use acp_collectives::ThreadGroup;
 
     #[test]
@@ -200,76 +143,6 @@ mod tests {
         for (a, b) in results {
             assert_eq!(a, vec![0.5; 5]);
             assert_eq!(b, vec![1.5; 7]);
-        }
-    }
-
-    #[test]
-    fn shape_change_is_rejected() {
-        use acp_collectives::LocalCommunicator;
-        let mut opt = SSgdAggregator::new();
-        let mut comm = LocalCommunicator::new();
-        let dims = [2usize];
-        let mut g = vec![0.0f32; 2];
-        let mut views = [GradViewMut {
-            dims: &dims,
-            grad: &mut g,
-        }];
-        opt.aggregate(&mut views, &mut comm).unwrap();
-        let bad = [3usize];
-        let mut g2 = vec![0.0f32; 3];
-        let mut views = [GradViewMut {
-            dims: &bad,
-            grad: &mut g2,
-        }];
-        assert!(opt.aggregate(&mut views, &mut comm).is_err());
-    }
-
-    #[test]
-    fn overlapped_pushes_match_blocking_bitwise() {
-        let run = |overlapped: bool| {
-            ThreadGroup::run(3, move |mut comm| {
-                let mut opt = SSgdAggregator::with_buffer_bytes(16);
-                let r = comm.rank_id().as_usize() as f32;
-                let dims = [vec![3usize], vec![2usize], vec![4usize]];
-                let mut out = Vec::new();
-                for step in 0..3 {
-                    let s = step as f32;
-                    let mut grads = [
-                        vec![r * 0.5 + s; 3],
-                        vec![r - s; 2],
-                        vec![(r + 1.0) * (s + 1.0); 4],
-                    ];
-                    if overlapped {
-                        assert!(opt.supports_overlap());
-                        for i in (0..3).rev() {
-                            let g = grads[i].clone();
-                            opt.push_ready(i, &dims[i], &g, &mut comm).unwrap();
-                        }
-                        let mut views: Vec<GradViewMut<'_>> = dims
-                            .iter()
-                            .zip(grads.iter_mut())
-                            .map(|(d, g)| GradViewMut { dims: d, grad: g })
-                            .collect();
-                        opt.finish_overlap(&mut views, &mut comm).unwrap();
-                    } else {
-                        let mut views: Vec<GradViewMut<'_>> = dims
-                            .iter()
-                            .zip(grads.iter_mut())
-                            .map(|(d, g)| GradViewMut { dims: d, grad: g })
-                            .collect();
-                        opt.aggregate(&mut views, &mut comm).unwrap();
-                    }
-                    out = grads.concat();
-                }
-                out
-            })
-        };
-        let blocking = run(false);
-        let overlapped = run(true);
-        for (b, o) in blocking.iter().zip(&overlapped) {
-            for (x, y) in b.iter().zip(o) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
         }
     }
 }

@@ -1,13 +1,12 @@
 //! Top-k SGD over all-gather with scatter-average (§III), with optional
 //! error feedback.
 
-use acp_collectives::{CollectiveOp, CollectiveResult, Communicator};
-use acp_compression::{Compressor, ErrorFeedback, Payload, TopK};
-use acp_telemetry::{RecorderCell, RecorderHandle};
+use acp_collectives::{CollectiveOp, CollectiveResult};
+use acp_compression::{Compressor, ErrorFeedback, TopK};
 
 use crate::error::CoreError;
-use crate::optimizer::{DistributedOptimizer, GradViewMut};
-use crate::pipeline::{run_step, Bucket, BucketCodec, FusedPipeline, Round, DEFAULT_BUFFER_BYTES};
+use crate::pipeline::{Bucket, BucketCodec, Fused, Round, DEFAULT_BUFFER_BYTES};
+use crate::sparse;
 
 /// Configuration of [`TopkSgdAggregator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,7 +56,7 @@ impl TopkSgdConfig {
 /// of each bucket travel as coordinate/value pairs over all-gather and the
 /// union is scatter-averaged.
 #[derive(Debug)]
-struct TopkCodec {
+pub struct TopkCodec {
     density: f64,
     error_feedback: bool,
     /// Per-bucket error-feedback compressors (unused on the raw path).
@@ -65,11 +64,7 @@ struct TopkCodec {
 }
 
 impl TopkCodec {
-    fn k_for(&self, n: usize) -> usize {
-        ((self.density * n as f64).ceil() as usize).clamp(1, n)
-    }
-
-    fn residual_norm(&self) -> f32 {
+    fn residual_sum(&self) -> f32 {
         self.buckets
             .iter()
             .flatten()
@@ -81,7 +76,7 @@ impl TopkCodec {
 impl BucketCodec for TopkCodec {
     fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
         let data = std::mem::take(&mut bucket.data);
-        let k = self.k_for(bucket.elems);
+        let k = sparse::k_for(self.density, bucket.elems);
         let payload = if self.error_feedback {
             if self.buckets.len() <= bucket.index {
                 self.buckets.resize_with(bucket.index + 1, || None);
@@ -93,20 +88,8 @@ impl BucketCodec for TopkCodec {
             TopK::new(k).compress(&data)
         };
         bucket.payload_bytes += payload.wire_bytes() as u64;
-        let (indices, values) = match payload {
-            Payload::Sparse {
-                indices, values, ..
-            } => (indices, values),
-            _ => {
-                return Err(CoreError::CodecProtocol(
-                    "top-k compressor must produce a sparse payload",
-                ))
-            }
-        };
-        Ok(vec![
-            CollectiveOp::AllGatherU32 { send: indices },
-            CollectiveOp::AllGatherF32 { send: values },
-        ])
+        let (indices, values) = sparse::into_parts(payload)?;
+        Ok(sparse::all_gather(indices, values))
     }
 
     fn decode(
@@ -114,25 +97,19 @@ impl BucketCodec for TopkCodec {
         bucket: &mut Bucket,
         results: Vec<CollectiveResult>,
     ) -> Result<Round, CoreError> {
-        let mut results = results.into_iter();
-        let gathered_idx = results
-            .next()
-            .ok_or(CoreError::CodecProtocol(
-                "expected two collective results per round",
-            ))?
-            .into_u32()
-            .map_err(CoreError::from)?;
-        let gathered_val = results
-            .next()
-            .ok_or(CoreError::CodecProtocol(
-                "expected two collective results per round",
-            ))?
-            .into_f32()
-            .map_err(CoreError::from)?;
-        let mut dense = vec![0.0f32; bucket.elems];
-        TopK::scatter_average(&gathered_idx, &gathered_val, bucket.world_size, &mut dense);
-        bucket.data = dense;
-        Ok(Round::Done)
+        sparse::decode_gathered(bucket, results)
+    }
+
+    fn name(&self) -> &'static str {
+        "topk"
+    }
+
+    fn residual_norm(&self) -> Option<f64> {
+        self.error_feedback.then(|| self.residual_sum() as f64)
+    }
+
+    fn reset(&mut self) {
+        self.buckets.clear();
     }
 }
 
@@ -143,13 +120,7 @@ impl BucketCodec for TopkCodec {
 /// length) are all-gathered with their coordinates, and the union is
 /// scatter-averaged — the paper's Top-k SGD with multiple-sampling replaced
 /// by exact selection for bit-stable distributed state.
-#[derive(Debug)]
-pub struct TopkSgdAggregator {
-    density: f64,
-    pipeline: FusedPipeline,
-    codec: TopkCodec,
-    recorder: RecorderCell,
-}
+pub type TopkSgdAggregator = Fused<TopkCodec>;
 
 impl TopkSgdAggregator {
     /// Creates a Top-k aggregator keeping `density` of the gradient
@@ -183,98 +154,33 @@ impl TopkSgdAggregator {
     ///
     /// Panics if the configured density is not in `(0, 1]`.
     pub fn from_config(cfg: TopkSgdConfig) -> Self {
-        assert!(
-            cfg.density > 0.0 && cfg.density <= 1.0,
-            "density must be in (0, 1]"
-        );
-        TopkSgdAggregator {
-            density: cfg.density,
-            pipeline: FusedPipeline::new(cfg.buffer_bytes),
-            codec: TopkCodec {
+        sparse::assert_density(cfg.density);
+        Fused::from_codec(
+            cfg.buffer_bytes,
+            TopkCodec {
                 density: cfg.density,
                 error_feedback: cfg.error_feedback,
                 buckets: Vec::new(),
             },
-            recorder: RecorderCell::default(),
-        }
+        )
     }
 
     /// The configured selection density.
     pub fn density(&self) -> f64 {
-        self.density
+        self.codec.density
     }
 
     /// Sum of per-bucket error-feedback residual norms (zero without error
     /// feedback).
     pub fn residual_norm(&self) -> f32 {
-        self.codec.residual_norm()
-    }
-}
-
-impl DistributedOptimizer for TopkSgdAggregator {
-    fn name(&self) -> &'static str {
-        "topk"
-    }
-
-    fn set_buffer_bytes(&mut self, buffer_bytes: usize) {
-        self.pipeline.set_buffer_bytes(buffer_bytes);
-        self.codec.buckets.clear();
-    }
-
-    fn on_membership_change(&mut self) {
-        // Same reasoning as `set_buffer_bytes`: the re-plan invalidates
-        // bucket-indexed codec state along with the bucket plan.
-        self.pipeline.replan();
-        self.codec.buckets.clear();
-    }
-
-    fn aggregate(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        let ef = self.codec.error_feedback;
-        run_step(
-            &mut self.pipeline,
-            &mut self.codec,
-            &self.recorder,
-            grads,
-            comm,
-            |codec: &TopkCodec| ef.then(|| codec.residual_norm() as f64),
-        )
-    }
-
-    fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder.set(recorder);
-    }
-
-    fn supports_overlap(&self) -> bool {
-        true
-    }
-
-    fn push_ready(
-        &mut self,
-        index: usize,
-        dims: &[usize],
-        grad: &[f32],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.pipeline
-            .push(&mut self.codec, index, dims, grad, comm, &*self.recorder)
-    }
-
-    fn finish_overlap(
-        &mut self,
-        grads: &mut [GradViewMut<'_>],
-        comm: &mut dyn Communicator,
-    ) -> Result<(), CoreError> {
-        self.aggregate(grads, comm)
+        self.codec.residual_sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{DistributedOptimizer, GradViewMut};
     use acp_collectives::ThreadGroup;
 
     #[test]

@@ -339,7 +339,6 @@ where
             }
         }
     }
-    let overlap = cfg.overlap && aggregator.supports_overlap();
     // Global forward-order index of each layer's first parameter tensor —
     // the index space `push_ready` expects.
     let layer_offsets: Vec<usize> = {
@@ -373,7 +372,7 @@ where
             let logits = model.forward(&x);
             let (loss, dlogits) = softmax_cross_entropy(&logits, &y);
             let backward_start = recorder.as_ref().map(|rec| rec.now_us());
-            if overlap {
+            if cfg.overlap {
                 // Wait-free backpropagation: hand each layer's gradients to
                 // the aggregation pipeline the moment its backward finishes,
                 // so full buckets communicate while earlier layers compute.
@@ -405,7 +404,7 @@ where
                     grad: &mut *p.grad,
                 })
                 .collect();
-            if overlap {
+            if cfg.overlap {
                 aggregator
                     .finish_overlap(&mut views, &mut comm)
                     .expect("gradient aggregation failed");
