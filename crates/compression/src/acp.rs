@@ -25,11 +25,14 @@
 //!   wait-free back-propagation and tensor fusion apply exactly as in
 //!   S-SGD.
 
+use acp_tensor::kernels;
+use acp_tensor::pool::global_for;
 use acp_tensor::{Matrix, OrthoMethod, SeedableStdNormal};
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::CompressError;
+use crate::error_feedback::corrected;
 
 /// Salt xor-ed into the seed for `P₀` so it is decorrelated from `Q₀`.
 const P_SEED_SALT: u64 = 0xAC9_57D;
@@ -189,15 +192,10 @@ impl AcpSgd {
     ///
     /// [`CompressError::Phase`] when the previous step was not finished,
     /// [`CompressError::Shape`] when the gradient shape differs from
-    /// construction, [`CompressError::Matrix`] if an inner multiply is fed
-    /// incompatible dimensions.
+    /// construction.
     #[must_use = "the result carries the computation; dropping it discards the round"]
     pub fn try_compress(&mut self, grad: &Matrix) -> Result<Matrix, CompressError> {
-        if self.mid_step {
-            return Err(CompressError::Phase {
-                what: "compress called before finishing the previous step",
-            });
-        }
+        self.check_compress()?;
         if (grad.rows(), grad.cols()) != (self.n, self.m) {
             return Err(CompressError::Shape {
                 what: "gradient shape changed",
@@ -205,57 +203,99 @@ impl AcpSgd {
                 actual: (grad.rows(), grad.cols()),
             });
         }
-        let corrected = match &self.error {
-            Some(e) => grad + e,
-            None => grad.clone(),
-        };
+        Ok(self.compress_checked(grad.as_slice()))
+    }
+
+    /// [`AcpSgd::try_compress`] on the row-major `n × m` gradient in
+    /// `grad`, e.g. a segment of a fusion bucket; nothing is copied.
+    ///
+    /// # Errors
+    ///
+    /// [`CompressError::Phase`] when the previous step was not finished,
+    /// [`CompressError::Shape`] when `grad` does not hold `n · m` values
+    /// (reported as `1 × len`).
+    #[must_use = "the result carries the computation; dropping it discards the round"]
+    pub fn try_compress_slice(&mut self, grad: &[f32]) -> Result<Matrix, CompressError> {
+        self.check_compress()?;
+        if grad.len() != self.n * self.m {
+            return Err(CompressError::Shape {
+                what: "gradient length changed",
+                expected: (self.n, self.m),
+                actual: (1, grad.len()),
+            });
+        }
+        Ok(self.compress_checked(grad))
+    }
+
+    fn check_compress(&self) -> Result<(), CompressError> {
+        if self.mid_step {
+            return Err(CompressError::Phase {
+                what: "compress called before finishing the previous step",
+            });
+        }
+        Ok(())
+    }
+
+    /// The compression step proper, on a gradient of the right length.
+    fn compress_checked(&mut self, grad: &[f32]) -> Matrix {
+        let (n, m, r) = (self.n, self.m, self.rank);
         let side = self.next_side();
-        let (factor, query) = match side {
+        // Q_t = orthogonalize(Q_{t-1}) on P-steps, P_t = orthogonalize(P_{t-1})
+        // on Q-steps.
+        let (previous, rows, salt) = match side {
+            FactorSide::P => (&self.q, m, 0x9E37),
+            FactorSide::Q => (&self.p, n, 0x5BD1),
+        };
+        let mut query = if self.cfg.reuse {
+            previous.clone()
+        } else {
+            Matrix::random_std_normal(rows, r, self.cfg.seed ^ (self.step + 1).wrapping_mul(salt))
+        };
+        self.cfg.ortho.apply(&mut query);
+        let corrected = corrected(self.error.as_mut(), grad);
+        let pool = global_for(n * m * r);
+        let factor = match side {
             FactorSide::P => {
-                // Q_t = orthogonalize(Q_{t-1}); P_t = (M+E) Q_t.
-                let mut query = if self.cfg.reuse {
-                    self.q.clone()
-                } else {
-                    Matrix::random_std_normal(
-                        self.m,
-                        self.rank,
-                        self.cfg.seed ^ (self.step + 1).wrapping_mul(0x9E37),
-                    )
-                };
-                self.cfg.ortho.apply(&mut query);
-                let p = corrected.try_matmul(&query)?;
-                (p, query)
+                // P_t = (M+E) Q_t.
+                let mut p = Matrix::zeros(n, r);
+                kernels::matmul_into(pool, n, m, r, corrected, query.as_slice(), p.as_mut_slice());
+                p
             }
             FactorSide::Q => {
-                // P_t = orthogonalize(P_{t-1}); Q_t = (M+E)ᵀ P_t.
-                let mut query = if self.cfg.reuse {
-                    self.p.clone()
-                } else {
-                    Matrix::random_std_normal(
-                        self.n,
-                        self.rank,
-                        self.cfg.seed ^ (self.step + 1).wrapping_mul(0x5BD1),
-                    )
-                };
-                self.cfg.ortho.apply(&mut query);
-                let q = corrected.try_matmul_tn(&query)?;
-                (q, query)
+                // Q_t = (M+E)ᵀ P_t.
+                let mut q = Matrix::zeros(m, r);
+                kernels::matmul_tn_into(
+                    pool,
+                    n,
+                    m,
+                    r,
+                    corrected,
+                    query.as_slice(),
+                    q.as_mut_slice(),
+                );
+                q
             }
         };
-        if self.error.is_some() {
+        if let Some(e) = self.error.as_mut() {
             // E ← (M + E) − P_t Q_tᵀ with the *local* factor, so transmitted
             // mean + local residuals account for the full gradient mass.
-            let approx = match side {
-                FactorSide::P => factor.try_matmul_nt(&query)?,
-                FactorSide::Q => query.try_matmul_nt(&factor)?,
+            let (p, q) = match side {
+                FactorSide::P => (&factor, &query),
+                FactorSide::Q => (&query, &factor),
             };
-            let mut e = corrected;
-            e -= &approx;
-            self.error = Some(e);
+            kernels::matmul_nt_sub_into(
+                pool,
+                n,
+                r,
+                m,
+                p.as_slice(),
+                q.as_slice(),
+                e.as_mut_slice(),
+            );
         }
         self.query = Some(query);
         self.mid_step = true;
-        Ok(factor)
+        factor
     }
 
     /// Consumes the aggregated factor and returns the decompressed gradient
@@ -280,10 +320,31 @@ impl AcpSgd {
     ///
     /// [`CompressError::Phase`] when called without a preceding
     /// [`AcpSgd::try_compress`], [`CompressError::Shape`] when
-    /// `factor_reduced` has the wrong shape, [`CompressError::Matrix`] if
-    /// the reconstruction multiply is fed incompatible dimensions.
+    /// `factor_reduced` has the wrong shape.
     #[must_use = "the result carries the computation; dropping it discards the round"]
     pub fn try_finish(&mut self, factor_reduced: Matrix) -> Result<Matrix, CompressError> {
+        let mut approx = Matrix::zeros(self.n, self.m);
+        self.try_finish_into(factor_reduced, approx.as_mut_slice())?;
+        Ok(approx)
+    }
+
+    /// [`AcpSgd::try_finish`] writing the decompressed gradient `M̂` into
+    /// `out` (row-major `n × m`, e.g. a segment of a fusion bucket)
+    /// instead of a new matrix. Every check runs before anything is
+    /// written, so on error `out` and the cached query are untouched.
+    ///
+    /// # Errors
+    ///
+    /// [`CompressError::Phase`] when called without a preceding
+    /// [`AcpSgd::try_compress`], [`CompressError::Shape`] when
+    /// `factor_reduced` has the wrong shape or `out` does not hold `n · m`
+    /// values (reported as `1 × len`).
+    #[must_use = "the result reports whether `out` was written"]
+    pub fn try_finish_into(
+        &mut self,
+        factor_reduced: Matrix,
+        out: &mut [f32],
+    ) -> Result<(), CompressError> {
         if !self.mid_step {
             return Err(CompressError::Phase {
                 what: "finish called without compress",
@@ -304,6 +365,13 @@ impl AcpSgd {
                 actual: (factor_reduced.rows(), factor_reduced.cols()),
             });
         }
+        if out.len() != self.n * self.m {
+            return Err(CompressError::Shape {
+                what: "output length differs from the gradient",
+                expected: (self.n, self.m),
+                actual: (1, out.len()),
+            });
+        }
         let query = match self.query.take() {
             Some(q) => q,
             None => {
@@ -312,23 +380,25 @@ impl AcpSgd {
                 })
             }
         };
-        let approx = match side {
-            FactorSide::P => {
-                let approx = factor_reduced.try_matmul_nt(&query)?;
-                self.p = factor_reduced;
-                self.q = query;
-                approx
-            }
-            FactorSide::Q => {
-                let approx = query.try_matmul_nt(&factor_reduced)?;
-                self.q = factor_reduced;
-                self.p = query;
-                approx
-            }
+        let (p, q) = match side {
+            FactorSide::P => (factor_reduced, query),
+            FactorSide::Q => (query, factor_reduced),
         };
+        let (n, m, r) = (self.n, self.m, self.rank);
+        kernels::matmul_nt_into(
+            global_for(n * r * m),
+            n,
+            r,
+            m,
+            p.as_slice(),
+            q.as_slice(),
+            out,
+        );
+        self.p = p;
+        self.q = q;
         self.step += 1;
         self.mid_step = false;
-        Ok(approx)
+        Ok(())
     }
 
     /// FLOPs of one compression step — Table II / §IV-A: one matmul

@@ -9,8 +9,34 @@
 //! in [`crate::powersgd`] and [`crate::acp`] carry their own matrix-shaped
 //! residuals following Algorithm 2.
 
+use acp_tensor::Matrix;
+
 use crate::compressor::Compressor;
 use crate::payload::Payload;
+
+/// `E ← G + E` element-wise, in place. Not `+=`: with two NaN operands
+/// the first one's payload wins, and Algorithm 2 adds `g + e`.
+fn add_gradient(residual: &mut [f32], grad: &[f32]) {
+    for (e, &g) in residual.iter_mut().zip(grad) {
+        #[allow(clippy::assign_op_pattern)]
+        {
+            *e = g + *e;
+        }
+    }
+}
+
+/// The corrected gradient `G + E` of a low-rank compressor: with a
+/// residual, `E ← G + E` in place and `E` is returned; without one, `G`
+/// itself.
+pub(crate) fn corrected<'a>(residual: Option<&'a mut Matrix>, grad: &'a [f32]) -> &'a [f32] {
+    match residual {
+        Some(e) => {
+            add_gradient(e.as_mut_slice(), grad);
+            e.as_slice()
+        }
+        None => grad,
+    }
+}
 
 /// Wraps a [`Compressor`] with an error-feedback residual.
 ///
@@ -41,6 +67,9 @@ use crate::payload::Payload;
 pub struct ErrorFeedback<C> {
     inner: C,
     residual: Vec<f32>,
+    /// Scratch for `decompress(c)`, kept so a step allocates no
+    /// gradient-sized buffer.
+    approx: Vec<f32>,
 }
 
 impl<C: Compressor> ErrorFeedback<C> {
@@ -49,6 +78,7 @@ impl<C: Compressor> ErrorFeedback<C> {
         ErrorFeedback {
             inner,
             residual: Vec::new(),
+            approx: Vec::new(),
         }
     }
 
@@ -81,19 +111,15 @@ impl<C: Compressor> Compressor for ErrorFeedback<C> {
     fn compress(&mut self, grad: &[f32]) -> Payload {
         if self.residual.len() != grad.len() {
             self.residual = vec![0.0; grad.len()];
+            self.approx = vec![0.0; grad.len()];
         }
-        // g' = g + e
-        let corrected: Vec<f32> = grad
-            .iter()
-            .zip(&self.residual)
-            .map(|(g, e)| g + e)
-            .collect();
-        let payload = self.inner.compress(&corrected);
+        // g' = g + e, in place
+        add_gradient(&mut self.residual, grad);
+        let payload = self.inner.compress(&self.residual);
         // e <- g' - decompress(c)
-        let mut approx = vec![0.0; grad.len()];
-        self.inner.decompress(&payload, &mut approx);
-        for ((e, c), a) in self.residual.iter_mut().zip(&corrected).zip(&approx) {
-            *e = c - a;
+        self.inner.decompress(&payload, &mut self.approx);
+        for (e, a) in self.residual.iter_mut().zip(&self.approx) {
+            *e -= a;
         }
         payload
     }
@@ -176,6 +202,31 @@ mod tests {
         let residual: Vec<f32> = true_sum.iter().zip(&sent_sum).map(|(t, s)| t - s).collect();
         let res_norm: f32 = residual.iter().map(|v| v * v).sum::<f32>().sqrt();
         assert!((res_norm - ef.residual_norm()).abs() < 1e-5);
+    }
+
+    #[test]
+    fn in_place_residual_matches_fresh_buffers_bitwise() {
+        // The residual doubles as g + e and the decompression scratch is
+        // reused; each step must equal e ← (g + e) − decompress(c) computed
+        // in fresh buffers, including signed zeros.
+        let mut ef = ErrorFeedback::new(TopK::new(2));
+        let mut reference = TopK::new(2);
+        let mut e = vec![0.0f32; 5];
+        let grads = [
+            vec![0.5f32, -0.0, 0.25, 2.0, -3.0],
+            vec![-0.5f32, 0.0, -0.75, 0.1, 1e-3],
+            vec![0.0f32, -0.0, 0.6, -0.4, 2.5],
+        ];
+        for g in &grads {
+            let c: Vec<f32> = g.iter().zip(&e).map(|(g, e)| g + e).collect();
+            let p = reference.compress(&c);
+            let mut a = vec![0.0f32; c.len()];
+            reference.decompress(&p, &mut a);
+            e = c.iter().zip(&a).map(|(c, a)| c - a).collect();
+            assert_eq!(ef.compress(g), p);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&ef.residual), bits(&e));
+        }
     }
 
     #[test]

@@ -24,11 +24,14 @@
 //! [`PowerSgd::finish`]) so a distributed optimizer inserts real collectives
 //! at the marked points.
 
+use acp_tensor::kernels;
+use acp_tensor::pool::global_for;
 use acp_tensor::{Matrix, OrthoMethod, SeedableStdNormal};
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::CompressError;
+use crate::error_feedback::corrected;
 
 /// Configuration shared by [`PowerSgd`] and tested in the ablations.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -96,8 +99,10 @@ pub struct PowerSgd {
     error: Option<Matrix>,
     /// Orthogonalized aggregated `P̂` cached between phases.
     p_hat: Option<Matrix>,
-    /// Corrected gradient `M + E` cached between phases.
-    corrected: Option<Matrix>,
+    /// The gradient [`PowerSgd::try_compute_p`] keeps for
+    /// [`PowerSgd::try_compute_q`] without error feedback (with it, the
+    /// residual holds `M + E` between the phases).
+    held_grad: Option<Matrix>,
     step: u64,
     phase: Phase,
 }
@@ -126,7 +131,7 @@ impl PowerSgd {
             q,
             error,
             p_hat: None,
-            corrected: None,
+            held_grad: None,
             step: 0,
             phase: Phase::AwaitP,
         }
@@ -160,21 +165,18 @@ impl PowerSgd {
     }
 
     /// Fallible [`PowerSgd::compute_p`]: returns a structured error instead
-    /// of panicking on phase or shape violations.
+    /// of panicking on phase or shape violations. Without error feedback
+    /// the gradient is kept for [`PowerSgd::compute_q`], which does not
+    /// take it again.
     ///
     /// # Errors
     ///
     /// [`CompressError::Phase`] when called out of order,
     /// [`CompressError::Shape`] when the gradient shape differs from
-    /// construction, [`CompressError::Matrix`] if the inner multiply is fed
-    /// incompatible dimensions.
+    /// construction.
     #[must_use = "the result carries the computation; dropping it discards the round"]
     pub fn try_compute_p(&mut self, grad: &Matrix) -> Result<Matrix, CompressError> {
-        if self.phase != Phase::AwaitP {
-            return Err(CompressError::Phase {
-                what: "compute_p called out of order",
-            });
-        }
+        self.check_phase(Phase::AwaitP, "compute_p called out of order")?;
         if (grad.rows(), grad.cols()) != (self.n, self.m) {
             return Err(CompressError::Shape {
                 what: "gradient shape changed",
@@ -182,23 +184,73 @@ impl PowerSgd {
                 actual: (grad.rows(), grad.cols()),
             });
         }
+        let p = self.compute_p_checked(grad.as_slice());
+        if self.error.is_none() {
+            self.held_grad = Some(grad.clone());
+        }
+        Ok(p)
+    }
+
+    /// [`PowerSgd::try_compute_p`] on the row-major `n × m` gradient in
+    /// `grad`, e.g. a segment of a fusion bucket; nothing is copied. The
+    /// same gradient goes to [`PowerSgd::try_compute_q_slice`].
+    ///
+    /// # Errors
+    ///
+    /// [`CompressError::Phase`] when called out of order,
+    /// [`CompressError::Shape`] when `grad` does not hold `n · m` values
+    /// (reported as `1 × len`).
+    #[must_use = "the result carries the computation; dropping it discards the round"]
+    pub fn try_compute_p_slice(&mut self, grad: &[f32]) -> Result<Matrix, CompressError> {
+        self.check_phase(Phase::AwaitP, "compute_p called out of order")?;
+        self.check_len("gradient length changed", grad.len())?;
+        Ok(self.compute_p_checked(grad))
+    }
+
+    fn check_phase(&self, phase: Phase, what: &'static str) -> Result<(), CompressError> {
+        if self.phase != phase {
+            return Err(CompressError::Phase { what });
+        }
+        Ok(())
+    }
+
+    fn check_len(&self, what: &'static str, len: usize) -> Result<(), CompressError> {
+        if len != self.n * self.m {
+            return Err(CompressError::Shape {
+                what,
+                expected: (self.n, self.m),
+                actual: (1, len),
+            });
+        }
+        Ok(())
+    }
+
+    /// Phase 1 proper, on a gradient of the right length: `E ← M + E` in
+    /// place when error feedback is on, then `P = (M + E) Q`.
+    fn compute_p_checked(&mut self, grad: &[f32]) -> Matrix {
+        let (n, m, r) = (self.n, self.m, self.rank);
         if !self.cfg.reuse {
             // Fresh random query each step (ablation). Seed varies by step
             // but agrees across ranks.
             self.q = Matrix::random_std_normal(
-                self.m,
-                self.rank,
+                m,
+                r,
                 self.cfg.seed ^ (self.step + 1).wrapping_mul(0x9E37),
             );
         }
-        let corrected = match &self.error {
-            Some(e) => grad + e,
-            None => grad.clone(),
-        };
-        let p = corrected.try_matmul(&self.q)?;
-        self.corrected = Some(corrected);
+        let corrected = corrected(self.error.as_mut(), grad);
+        let mut p = Matrix::zeros(n, r);
+        kernels::matmul_into(
+            global_for(n * m * r),
+            n,
+            m,
+            r,
+            corrected,
+            self.q.as_slice(),
+            p.as_mut_slice(),
+        );
         self.phase = Phase::AwaitQ { have_p: false };
-        Ok(p)
+        p
     }
 
     /// Phase 2: consumes the aggregated `P̂`, orthogonalizes it, computes
@@ -221,16 +273,39 @@ impl PowerSgd {
     /// # Errors
     ///
     /// [`CompressError::Phase`] when called out of order,
-    /// [`CompressError::Shape`] when `p_reduced` has the wrong shape,
-    /// [`CompressError::Matrix`] if an inner multiply is fed incompatible
-    /// dimensions.
+    /// [`CompressError::Shape`] when `p_reduced` has the wrong shape, or
+    /// without error feedback when phase 1 ran on a slice.
     #[must_use = "the result carries the computation; dropping it discards the round"]
-    pub fn try_compute_q(&mut self, mut p_reduced: Matrix) -> Result<Matrix, CompressError> {
-        if !matches!(self.phase, Phase::AwaitQ { have_p: false }) {
-            return Err(CompressError::Phase {
-                what: "compute_q called out of order",
-            });
+    pub fn try_compute_q(&mut self, p_reduced: Matrix) -> Result<Matrix, CompressError> {
+        let held = self.held_grad.take();
+        let grad = held.as_ref().map_or(&[][..], Matrix::as_slice);
+        let q = self.try_compute_q_slice(p_reduced, grad);
+        if q.is_err() {
+            self.held_grad = held;
         }
+        q
+    }
+
+    /// [`PowerSgd::try_compute_q`] for a step whose phase 1 ran on `grad`
+    /// with [`PowerSgd::try_compute_p_slice`]. `grad` must still hold that
+    /// gradient; it is read only without error feedback (with it, the
+    /// residual holds `M + E`).
+    ///
+    /// # Errors
+    ///
+    /// [`CompressError::Phase`] when called out of order,
+    /// [`CompressError::Shape`] when `p_reduced` has the wrong shape or,
+    /// without error feedback, `grad` does not hold `n · m` values.
+    #[must_use = "the result carries the computation; dropping it discards the round"]
+    pub fn try_compute_q_slice(
+        &mut self,
+        mut p_reduced: Matrix,
+        grad: &[f32],
+    ) -> Result<Matrix, CompressError> {
+        self.check_phase(
+            Phase::AwaitQ { have_p: false },
+            "compute_q called out of order",
+        )?;
         if (p_reduced.rows(), p_reduced.cols()) != (self.n, self.rank) {
             return Err(CompressError::Shape {
                 what: "aggregated P has the wrong shape",
@@ -238,23 +313,35 @@ impl PowerSgd {
                 actual: (p_reduced.rows(), p_reduced.cols()),
             });
         }
+        if self.error.is_none() {
+            self.check_len("gradient length changed", grad.len())?;
+        }
+        let (n, m, r) = (self.n, self.m, self.rank);
+        let pool = global_for(n * m * r);
         self.cfg.ortho.apply(&mut p_reduced);
-        let corrected = match self.corrected.take() {
-            Some(c) => c,
-            None => {
-                return Err(CompressError::Phase {
-                    what: "corrected gradient cached by compute_p",
-                })
-            }
-        };
-        let q = corrected.try_matmul_tn(&p_reduced)?;
-        if self.error.is_some() {
+        let corrected = self.error.as_ref().map_or(grad, Matrix::as_slice);
+        let mut q = Matrix::zeros(m, r);
+        kernels::matmul_tn_into(
+            pool,
+            n,
+            m,
+            r,
+            corrected,
+            p_reduced.as_slice(),
+            q.as_mut_slice(),
+        );
+        if let Some(e) = self.error.as_mut() {
             // E ← (M + E) − P̂ Q_localᵀ, with the local (pre-reduce) Q so the
             // average of transmitted + residual equals the true average.
-            let approx = p_reduced.try_matmul_nt(&q)?;
-            let mut e = corrected;
-            e -= &approx;
-            self.error = Some(e);
+            kernels::matmul_nt_sub_into(
+                pool,
+                n,
+                r,
+                m,
+                p_reduced.as_slice(),
+                q.as_slice(),
+                e.as_mut_slice(),
+            );
         }
         self.p_hat = Some(p_reduced);
         self.phase = Phase::AwaitQ { have_p: true };
@@ -278,16 +365,30 @@ impl PowerSgd {
     /// # Errors
     ///
     /// [`CompressError::Phase`] when called out of order,
-    /// [`CompressError::Shape`] when `q_reduced` has the wrong shape,
-    /// [`CompressError::Matrix`] if the reconstruction multiply is fed
-    /// incompatible dimensions.
+    /// [`CompressError::Shape`] when `q_reduced` has the wrong shape.
     #[must_use = "the result carries the computation; dropping it discards the round"]
     pub fn try_finish(&mut self, q_reduced: Matrix) -> Result<Matrix, CompressError> {
-        if !matches!(self.phase, Phase::AwaitQ { have_p: true }) {
-            return Err(CompressError::Phase {
-                what: "finish called out of order",
-            });
-        }
+        let mut approx = Matrix::zeros(self.n, self.m);
+        self.try_finish_into(q_reduced, approx.as_mut_slice())?;
+        Ok(approx)
+    }
+
+    /// [`PowerSgd::try_finish`] writing `M̂ = P̂ Q̂ᵀ` into `out` (row-major
+    /// `n × m`, e.g. a segment of a fusion bucket) instead of a new matrix.
+    /// Every check runs before anything is written.
+    ///
+    /// # Errors
+    ///
+    /// [`CompressError::Phase`] when called out of order,
+    /// [`CompressError::Shape`] when `q_reduced` has the wrong shape or
+    /// `out` does not hold `n · m` values (reported as `1 × len`).
+    #[must_use = "the result reports whether `out` was written"]
+    pub fn try_finish_into(
+        &mut self,
+        q_reduced: Matrix,
+        out: &mut [f32],
+    ) -> Result<(), CompressError> {
+        self.check_phase(Phase::AwaitQ { have_p: true }, "finish called out of order")?;
         if (q_reduced.rows(), q_reduced.cols()) != (self.m, self.rank) {
             return Err(CompressError::Shape {
                 what: "aggregated Q has the wrong shape",
@@ -295,6 +396,7 @@ impl PowerSgd {
                 actual: (q_reduced.rows(), q_reduced.cols()),
             });
         }
+        self.check_len("output length differs from the gradient", out.len())?;
         let p_hat = match self.p_hat.take() {
             Some(p) => p,
             None => {
@@ -303,11 +405,20 @@ impl PowerSgd {
                 })
             }
         };
-        let approx = p_hat.try_matmul_nt(&q_reduced)?;
+        let (n, m, r) = (self.n, self.m, self.rank);
+        kernels::matmul_nt_into(
+            global_for(n * r * m),
+            n,
+            r,
+            m,
+            p_hat.as_slice(),
+            q_reduced.as_slice(),
+            out,
+        );
         self.q = q_reduced;
         self.step += 1;
         self.phase = Phase::AwaitP;
-        Ok(approx)
+        Ok(())
     }
 
     /// FLOPs of one compression step (Table II: `O(N r)` with `N = n m`):

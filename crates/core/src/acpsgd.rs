@@ -35,16 +35,18 @@ impl LowRankCompressor for AcpSgd {
         AcpSgd::error_norm(self)
     }
 
-    fn first_factor(&mut self, grad: &Matrix) -> Result<Matrix, CompressError> {
-        self.try_compress(grad)
+    fn first_factor(&mut self, grad: &[f32]) -> Result<Matrix, CompressError> {
+        self.try_compress_slice(grad)
     }
 
     fn reduced(
         &mut self,
         factor: Matrix,
         _first_round: bool,
+        seg: &mut [f32],
     ) -> Result<LowRankRound, CompressError> {
-        self.try_finish(factor).map(LowRankRound::Approx)
+        self.try_finish_into(factor, seg)?;
+        Ok(LowRankRound::Done)
     }
 }
 

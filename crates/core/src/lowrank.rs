@@ -100,11 +100,14 @@ impl LowRankConfig {
 pub enum LowRankRound {
     /// Another local factor to all-reduce (Power-SGD's `Q` after `P̂`).
     Next(Matrix),
-    /// The decompressed gradient approximation; the step is done.
-    Approx(Matrix),
+    /// The decompressed gradient approximation is in the matrix's bucket
+    /// segment; the step is done.
+    Done,
 }
 
-/// The per-matrix compression state machine [`LowRankCodec`] drives.
+/// The per-matrix compression state machine [`LowRankCodec`] drives. Both
+/// methods work on the matrix's segment of the fusion bucket (row-major
+/// `rows × cols`), so a step copies no gradient.
 pub trait LowRankCompressor: Send + fmt::Debug + Sized {
     /// Algorithm name the aggregator reports.
     const NAME: &'static str;
@@ -116,21 +119,26 @@ pub trait LowRankCompressor: Send + fmt::Debug + Sized {
     /// Norm of the error-feedback residual (zero without error feedback).
     fn error_norm(&self) -> f32;
 
-    /// The step's first local factor, from the local gradient.
+    /// The step's first local factor, from the local gradient in `grad`.
     ///
     /// # Errors
     ///
     /// The compressor's phase or shape violation.
-    fn first_factor(&mut self, grad: &Matrix) -> Result<Matrix, CompressError>;
+    fn first_factor(&mut self, grad: &[f32]) -> Result<Matrix, CompressError>;
 
     /// Consumes the all-reduced factor of the step's first round
-    /// (`first_round`) or of a later one.
+    /// (`first_round`) or of a later one. `seg` holds the local gradient
+    /// until the step is done, when it receives the approximation.
     ///
     /// # Errors
     ///
     /// The compressor's phase or shape violation.
-    fn reduced(&mut self, factor: Matrix, first_round: bool)
-        -> Result<LowRankRound, CompressError>;
+    fn reduced(
+        &mut self,
+        factor: Matrix,
+        first_round: bool,
+        seg: &mut [f32],
+    ) -> Result<LowRankRound, CompressError>;
 }
 
 /// Per-tensor compression state.
@@ -138,7 +146,7 @@ pub trait LowRankCompressor: Send + fmt::Debug + Sized {
 #[allow(clippy::large_enum_variant)] // few instances, one per tensor
 enum LrState<S> {
     /// Matrix-shaped tensor, compressed.
-    Matrix { rows: usize, cols: usize, state: S },
+    Matrix(S),
     /// Vector tensor, transmitted uncompressed in the first round.
     Vector,
 }
@@ -150,8 +158,6 @@ struct LrBucket<S> {
     states: Vec<LrState<S>>,
     /// This round's local factors, one per matrix, in slot order.
     factors: Vec<Matrix>,
-    /// The aggregated bucket, filled in as rounds complete.
-    out: Vec<f32>,
     /// Whether the round in flight is the step's first.
     first_round: bool,
 }
@@ -188,11 +194,7 @@ impl<S: LowRankCompressor> LowRankCodec<S> {
                         // of the bucket layout.
                         let i = tensors_start + slot;
                         let seed = cfg.seed ^ (i as u64).wrapping_mul(0x9E3779B9);
-                        LrState::Matrix {
-                            rows,
-                            cols,
-                            state: S::create(rows, cols, &cfg, seed),
-                        }
+                        LrState::Matrix(S::create(rows, cols, &cfg, seed))
                     }
                     MatrixShape::Vector { .. } => LrState::Vector,
                 })
@@ -200,7 +202,6 @@ impl<S: LowRankCompressor> LowRankCodec<S> {
             LrBucket {
                 states,
                 factors: Vec::new(),
-                out: Vec::new(),
                 first_round: true,
             }
         })
@@ -212,7 +213,7 @@ impl<S: LowRankCompressor> LowRankCodec<S> {
             .flatten()
             .flat_map(|b| &b.states)
             .map(|s| match s {
-                LrState::Matrix { state, .. } => state.error_norm(),
+                LrState::Matrix(state) => state.error_norm(),
                 LrState::Vector => 0.0,
             })
             .sum()
@@ -225,7 +226,7 @@ impl<S: LowRankCompressor> LowRankCodec<S> {
             .flatten()
             .flat_map(|b| &b.states)
             .filter_map(|s| match s {
-                LrState::Matrix { state, .. } => Some(state),
+                LrState::Matrix(state) => Some(state),
                 LrState::Vector => None,
             })
     }
@@ -235,34 +236,25 @@ impl<S: LowRankCompressor> LowRankCodec<S> {
     }
 }
 
-/// The `n` reduced values at `pos`, or a protocol error when the reduced
-/// buffer is shorter than what this rank's factors and vectors need.
-fn reduced_at(reduced: &[f32], pos: usize, n: usize) -> Result<&[f32], CoreError> {
-    reduced.get(pos..pos + n).ok_or(CoreError::CodecProtocol(
-        "reduced buffer shorter than the bucket's factors",
-    ))
-}
-
 impl<S: LowRankCompressor> BucketCodec for LowRankCodec<S> {
+    /// Compresses each matrix from its segment of [`Bucket::data`], which
+    /// stays in place: the decode rounds write the aggregate back into it.
     fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
         if self.warm {
             // No compression state touched, so the warm start never
             // perturbs the factor schedule.
             return MeanCodec.encode(bucket);
         }
-        let data = std::mem::take(&mut bucket.data);
         let st = self.state_for(bucket);
         st.factors.clear();
         st.first_round = true;
         // One fused payload: a local factor per matrix, raw data per vector.
         let mut buf = Vec::new();
         for (slot, lr) in st.states.iter_mut().enumerate() {
-            let seg = &data[bucket.offsets[slot]..bucket.offsets[slot + 1]];
+            let seg = &bucket.data[bucket.offsets[slot]..bucket.offsets[slot + 1]];
             match lr {
-                LrState::Matrix { rows, cols, state } => {
-                    let m = Matrix::from_vec(*rows, *cols, seg.to_vec())
-                        .map_err(CompressError::from)?;
-                    let f = state.first_factor(&m)?;
+                LrState::Matrix(state) => {
+                    let f = state.first_factor(seg)?;
                     buf.extend_from_slice(f.as_slice());
                     st.factors.push(f);
                 }
@@ -276,6 +268,8 @@ impl<S: LowRankCompressor> BucketCodec for LowRankCodec<S> {
         }])
     }
 
+    /// Writes the round's reduced vectors and finished approximations
+    /// straight into their segments of [`Bucket::data`].
     fn decode(
         &mut self,
         bucket: &mut Bucket,
@@ -292,42 +286,47 @@ impl<S: LowRankCompressor> BucketCodec for LowRankCodec<S> {
             .ok_or(CoreError::CodecProtocol(
                 "decode without a pending encode state",
             ))?;
-        let first_round = std::mem::replace(&mut st.first_round, false);
-        if first_round {
-            st.out = vec![0.0f32; bucket.elems];
+        // The reduced buffer holds exactly this rank's factors, plus the
+        // raw vectors in the first round; reject it before touching state.
+        let mut expected: usize = st.factors.iter().map(Matrix::len).sum();
+        if st.first_round {
+            for (slot, lr) in st.states.iter().enumerate() {
+                if let LrState::Vector = lr {
+                    expected += bucket.offsets[slot + 1] - bucket.offsets[slot];
+                }
+            }
         }
+        if reduced.len() != expected {
+            return Err(CoreError::CodecProtocol(
+                "reduced buffer length differs from the bucket's factors",
+            ));
+        }
+        let first_round = std::mem::replace(&mut st.first_round, false);
         let mut factors = std::mem::take(&mut st.factors).into_iter();
         let mut next = Vec::new();
         let mut pos = 0usize;
         for (slot, lr) in st.states.iter_mut().enumerate() {
-            let (start, end) = (bucket.offsets[slot], bucket.offsets[slot + 1]);
+            let seg = &mut bucket.data[bucket.offsets[slot]..bucket.offsets[slot + 1]];
             match lr {
-                LrState::Matrix { state, .. } => {
+                LrState::Matrix(state) => {
                     let mut f_hat = factors.next().ok_or(CoreError::CodecProtocol(
                         "missing low-rank factor for matrix slot",
                     ))?;
-                    let n = f_hat.as_slice().len();
-                    f_hat
-                        .as_mut_slice()
-                        .copy_from_slice(reduced_at(&reduced, pos, n)?);
+                    let n = f_hat.len();
+                    f_hat.as_mut_slice().copy_from_slice(&reduced[pos..pos + n]);
                     pos += n;
-                    match state.reduced(f_hat, first_round)? {
-                        LowRankRound::Next(f) => next.push(f),
-                        LowRankRound::Approx(approx) => {
-                            st.out[start..end].copy_from_slice(approx.as_slice());
-                        }
+                    if let LowRankRound::Next(f) = state.reduced(f_hat, first_round, seg)? {
+                        next.push(f);
                     }
                 }
                 LrState::Vector if first_round => {
-                    let n = end - start;
-                    st.out[start..end].copy_from_slice(reduced_at(&reduced, pos, n)?);
-                    pos += n;
+                    seg.copy_from_slice(&reduced[pos..pos + seg.len()]);
+                    pos += seg.len();
                 }
                 LrState::Vector => {}
             }
         }
         if next.is_empty() {
-            bucket.data = std::mem::take(&mut st.out);
             return Ok(Round::Done);
         }
         let mut buf = Vec::new();
@@ -392,5 +391,91 @@ impl<S: LowRankCompressor> Fused<LowRankCodec<S>> {
     /// Sum of per-matrix error-feedback residual norms (diagnostics).
     pub fn total_error_norm(&self) -> f32 {
         self.codec.total_error_norm()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use acp_compression::acp::AcpSgd;
+    use acp_compression::powersgd::PowerSgd;
+
+    /// A 4×3 matrix and a 2-vector in one bucket.
+    fn bucket() -> Bucket {
+        Bucket {
+            index: 0,
+            tensors: 0..2,
+            dims: vec![vec![4, 3], vec![2]],
+            offsets: vec![0, 12, 14],
+            elems: 14,
+            world_size: 1,
+            data: (0..14).map(|i| i as f32 * 0.25 - 1.0).collect(),
+            payload_bytes: 0,
+        }
+    }
+
+    fn sent_len(ops: &[CollectiveOp]) -> usize {
+        match ops {
+            [CollectiveOp::AllReduce { buf, .. }] => buf.len(),
+            _ => 0,
+        }
+    }
+
+    /// Runs `rounds - 1` rounds with the exact reduction (the local
+    /// payload, as on one rank), then feeds the last round a hand-built
+    /// reduction `delta` elements off what was sent.
+    fn last_round_off_by<S: LowRankCompressor>(
+        rounds: usize,
+        delta: isize,
+    ) -> (Result<Round, CoreError>, Vec<f32>, Vec<f32>) {
+        let mut codec = LowRankCodec::<S> {
+            cfg: LowRankConfig::default().with_rank(2),
+            steps: 0,
+            warm: false,
+            buckets: Vec::new(),
+        };
+        let mut b = bucket();
+        let mut sent = sent_len(&codec.encode(&mut b).unwrap());
+        for _ in 1..rounds {
+            let reduced = vec![0.5; sent];
+            match codec.decode(&mut b, vec![CollectiveResult::F32(reduced)]) {
+                Ok(Round::Next(ops)) => sent = sent_len(&ops),
+                other => panic!("expected another round, got {other:?}"),
+            }
+        }
+        let before = b.data.clone();
+        let len = sent.saturating_add_signed(delta);
+        let round = codec.decode(&mut b, vec![CollectiveResult::F32(vec![0.5; len])]);
+        (round, before, b.data)
+    }
+
+    #[test]
+    fn wrong_length_reductions_are_rejected_before_any_write() {
+        for delta in [-1, 1, -4, 7] {
+            for (round, before, after) in [
+                last_round_off_by::<AcpSgd>(1, delta),
+                last_round_off_by::<PowerSgd>(1, delta),
+                last_round_off_by::<PowerSgd>(2, delta),
+            ] {
+                assert!(
+                    matches!(round, Err(CoreError::CodecProtocol(_))),
+                    "delta {delta}: {round:?}"
+                );
+                assert_eq!(before, after, "delta {delta}: bucket written");
+            }
+        }
+    }
+
+    #[test]
+    fn exact_length_reductions_decode_into_the_bucket() {
+        let (round, _, data) = last_round_off_by::<AcpSgd>(1, 0);
+        assert!(matches!(round, Ok(Round::Done)));
+        // The vector slot is the reduced value itself.
+        assert_eq!(&data[12..], &[0.5, 0.5]);
+        let (round, _, _) = last_round_off_by::<PowerSgd>(1, 0);
+        assert!(matches!(round, Ok(Round::Next(_))));
+        let (round, _, data) = last_round_off_by::<PowerSgd>(2, 0);
+        assert!(matches!(round, Ok(Round::Done)));
+        assert_eq!(&data[12..], &[0.5, 0.5]);
     }
 }

@@ -57,8 +57,9 @@ pub struct Bucket {
     pub world_size: usize,
     /// The bucket's flattened gradient: input to [`BucketCodec::encode`],
     /// and the aggregated result after the final [`BucketCodec::decode`]
-    /// round (codecs typically `std::mem::take` it in `encode` and assign
-    /// it in the last `decode`).
+    /// round. A codec either moves it into its collective (`std::mem::take`
+    /// in `encode`, assign the result in the last `decode`) or leaves it in
+    /// place and writes the aggregate into it, as the low-rank codec does.
     pub data: Vec<f32>,
     /// Wire bytes the codec reports for the current step; add the
     /// compressed payload size here in `encode` (and in later rounds).
@@ -461,11 +462,12 @@ impl FusedPipeline {
                 );
             }
             let bucket = &self.buckets[b];
-            assert_eq!(
-                bucket.data.len(),
-                bucket.elems,
-                "codec must leave the aggregated bucket in `data`"
-            );
+            if bucket.data.len() != bucket.elems {
+                // A peer or server returned a wrong-length reduction.
+                return Err(CoreError::CodecProtocol(
+                    "aggregated bucket length differs from the bucket's elements",
+                ));
+            }
             for (slot, t) in bucket.tensors.clone().enumerate() {
                 let (start, end) = (bucket.offsets[slot], bucket.offsets[slot + 1]);
                 grads[t].grad.copy_from_slice(&bucket.data[start..end]);
@@ -725,6 +727,53 @@ mod tests {
             assert_eq!(g[0], vec![2.0; 2]);
             assert_eq!(g[1], vec![4.0]);
         }
+    }
+
+    /// [`MeanCodec`] fed a hand-built reduction `delta` elements longer
+    /// (or shorter) than the bucket, as a faulty peer or server could send.
+    struct WrongLengthMean {
+        delta: isize,
+    }
+
+    impl BucketCodec for WrongLengthMean {
+        fn encode(&mut self, bucket: &mut Bucket) -> Result<Vec<CollectiveOp>, CoreError> {
+            MeanCodec.encode(bucket)
+        }
+
+        fn decode(
+            &mut self,
+            bucket: &mut Bucket,
+            _results: Vec<CollectiveResult>,
+        ) -> Result<Round, CoreError> {
+            let len = bucket.elems.saturating_add_signed(self.delta);
+            MeanCodec.decode(bucket, vec![CollectiveResult::F32(vec![1.0; len])])
+        }
+    }
+
+    #[test]
+    fn wrong_length_reduction_is_a_protocol_error_not_a_panic() {
+        use acp_collectives::LocalCommunicator;
+        let mut pipeline = FusedPipeline::new(DEFAULT_BUFFER_BYTES);
+        let mut comm = LocalCommunicator::new();
+        let dims = vec![vec![3usize], vec![2usize]];
+        for delta in [-1, 1, -5] {
+            let mut codec = WrongLengthMean { delta };
+            let mut grads = vec![vec![2.0f32; 3], vec![4.0f32; 2]];
+            let mut v = views(&dims, &mut grads);
+            assert!(matches!(
+                pipeline.finish(&mut codec, &mut v, &mut comm, &*noop()),
+                Err(CoreError::CodecProtocol(_))
+            ));
+            // Nothing was written back, and the pipeline stays usable.
+            assert_eq!(grads, vec![vec![2.0f32; 3], vec![4.0f32; 2]]);
+        }
+        let mut codec = WrongLengthMean { delta: 0 };
+        let mut grads = vec![vec![2.0f32; 3], vec![4.0f32; 2]];
+        let mut v = views(&dims, &mut grads);
+        pipeline
+            .finish(&mut codec, &mut v, &mut comm, &*noop())
+            .unwrap();
+        assert_eq!(grads, vec![vec![1.0f32; 3], vec![1.0f32; 2]]);
     }
 
     #[test]

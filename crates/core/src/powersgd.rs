@@ -39,19 +39,24 @@ impl LowRankCompressor for PowerSgd {
         PowerSgd::error_norm(self)
     }
 
-    fn first_factor(&mut self, grad: &Matrix) -> Result<Matrix, CompressError> {
-        self.try_compute_p(grad)
+    fn first_factor(&mut self, grad: &[f32]) -> Result<Matrix, CompressError> {
+        self.try_compute_p_slice(grad)
     }
 
+    /// Round one reads `M` from the untouched segment (without error
+    /// feedback); round two writes `P̂ Q̂ᵀ` over it.
     fn reduced(
         &mut self,
         factor: Matrix,
         first_round: bool,
+        seg: &mut [f32],
     ) -> Result<LowRankRound, CompressError> {
         if first_round {
-            self.try_compute_q(factor).map(LowRankRound::Next)
+            self.try_compute_q_slice(factor, seg)
+                .map(LowRankRound::Next)
         } else {
-            self.try_finish(factor).map(LowRankRound::Approx)
+            self.try_finish_into(factor, seg)?;
+            Ok(LowRankRound::Done)
         }
     }
 }

@@ -30,10 +30,17 @@ const NT_MR: usize = 4;
 /// Output columns per `A·Bᵀ` register tile: the rows of `B` in one packed
 /// panel.
 const NT_NR: usize = 8;
+/// Largest `B` (`k·m` elements, 64 KiB) `matmul_nt_into` packs whole, once
+/// per task, so every output row block is written once.
+const NT_PACK_ONCE: usize = 16 * 1024;
 /// Output rows per narrow `A·B` / `Aᵀ·B` register tile.
 const NARROW_MR: usize = 8;
 /// Output columns per narrow `A·B` / `Aᵀ·B` register tile.
 const NARROW_NR: usize = 4;
+/// Rows of `A` (the shared dimension) per block of the narrow
+/// `matmul_tn_into`: a task sweeps all its tiles over one block before the
+/// next, so the block's rows of `A` stay in cache across its tiles.
+const TN_PANEL_ROWS: usize = 64;
 /// Widest output `matmul_into` and `matmul_tn_into` tile in registers
 /// (the rank-`r` factor products). Wider outputs stream whole output rows,
 /// whose inner loop already vectorizes along `m`.
@@ -234,8 +241,8 @@ pub fn matmul_into(
 /// `A[row][c]·B[row][j]` for ascending `row`, skipping the steps where
 /// `A[row][c]` is zero, exactly like the serial loop. An output at most
 /// `NARROW_M` wide (the `Mᵀ·P` factor product) is covered with
-/// `NARROW_MR × NARROW_NR` register tiles; a wider one streams whole
-/// output rows.
+/// `NARROW_MR × NARROW_NR` register tiles, one block of `TN_PANEL_ROWS`
+/// rows of `A` and `B` at a time; a wider one streams whole output rows.
 ///
 /// # Panics
 ///
@@ -257,9 +264,13 @@ pub fn matmul_tn_into(
     }
     let tasks = tasks_for(pool, n * k * m);
     if m <= NARROW_M {
-        let tiles = TnTiles { a, b, k, m };
         pool.for_each_unit_chunk_mut(out, m, tasks, |k0, piece| {
-            narrow_rows(&tiles, k0, m, piece);
+            // Row panels in ascending order keep every output chain
+            // ascending; each tile reloads its accumulators per panel.
+            let a_panels = a.chunks(TN_PANEL_ROWS * k);
+            for (a, b) in a_panels.zip(b.chunks(TN_PANEL_ROWS * m)) {
+                narrow_rows(&TnTiles { a, b, k, m }, k0, m, piece);
+            }
         });
         return;
     }
@@ -285,17 +296,57 @@ pub fn matmul_tn_into(
 ///
 /// Each output element is one dot product accumulated from `+0.0` over
 /// ascending `kk`, like the serial loop. Tasks own disjoint output rows.
-/// A task copies `NT_NR` rows of `B` at a time into a k-major panel, so
+/// A task copies rows of `B`, `NT_NR` at a time, into k-major panels, so
 /// that one step of `kk` reads `NT_NR` adjacent values, and sweeps its
-/// rows of `A` with an `NT_MR × NT_NR` accumulator tile over that panel:
+/// rows of `A` with an `NT_MR × NT_NR` accumulator tile over each panel:
 /// `NT_MR · NT_NR` independent dot products advance together, one vector
 /// multiply-then-add per tile row and step. This serves `Dense::forward`
 /// (`x·Wᵀ`) and the `P̂·Qᵀ` reconstructions.
+///
+/// When all of `B` fits in `NT_PACK_ONCE` elements (the rank-`r`
+/// reconstruction, `k = r`), a task packs every panel once and sweeps rows
+/// of `A` outermost, writing each output row block once; otherwise it
+/// packs one panel at a time and sweeps all its rows of `A` per panel.
 ///
 /// # Panics
 ///
 /// Panics if a slice length does not match its dimensions.
 pub fn matmul_nt_into(
+    pool: &WorkerPool,
+    n: usize,
+    k: usize,
+    m: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    nt_tiled::<false>(pool, n, k, m, a, b, out);
+}
+
+/// `out ← out − A·Bᵀ`, the fused error-feedback update `E −= P·Qᵀ`: the
+/// tiles and order of [`matmul_nt_into`], and each finished dot product
+/// (accumulated from `+0.0`) is subtracted from its output element once,
+/// so the result is bitwise equal to computing `A·Bᵀ` and subtracting it
+/// element-wise.
+///
+/// # Panics
+///
+/// Panics if a slice length does not match its dimensions.
+pub fn matmul_nt_sub_into(
+    pool: &WorkerPool,
+    n: usize,
+    k: usize,
+    m: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    nt_tiled::<true>(pool, n, k, m, a, b, out);
+}
+
+/// The shared `A·Bᵀ` tile loop: stores each dot product (`SUB = false`)
+/// or subtracts it from the output (`SUB = true`).
+fn nt_tiled<const SUB: bool>(
     pool: &WorkerPool,
     n: usize,
     k: usize,
@@ -311,40 +362,74 @@ pub fn matmul_nt_into(
         return;
     }
     if k == 0 {
-        out.fill(0.0);
+        // Every dot product is the empty sum +0.0.
+        for o in out {
+            if SUB {
+                *o -= 0.0;
+            } else {
+                *o = 0.0;
+            }
+        }
         return;
     }
     let tasks = tasks_for(pool, n * k * m);
+    let panels = m.div_ceil(NT_NR);
+    let group = if k * m <= NT_PACK_ONCE { panels } else { 1 };
     pool.for_each_unit_chunk_mut(out, m, tasks, |i0, piece| {
         let a = &a[i0 * k..i0 * k + piece.len() / m * k];
-        // panel[kk * NT_NR + c] = B[j0 + c][kk]. Lanes at or past `width`
-        // keep stale values from the previous panel; their accumulators
-        // are never stored.
-        let mut panel = vec![0.0f32; k * NT_NR];
-        for j0 in (0..m).step_by(NT_NR) {
-            let width = NT_NR.min(m - j0);
-            for (c, b_row) in b[j0 * k..(j0 + width) * k].chunks_exact(k).enumerate() {
-                for (p, &bv) in panel[c..].iter_mut().step_by(NT_NR).zip(b_row) {
-                    *p = bv;
+        // packed[(p * k + kk) * NT_NR + c] = B[j0 + c][kk] for panel p of
+        // the group starting at column j0 = (g0 + p) · NT_NR. Lanes at or
+        // past a panel's width hold zeros or stale values from an earlier
+        // group; their accumulators are never stored.
+        let mut packed = vec![0.0f32; group * k * NT_NR];
+        for g0 in (0..panels).step_by(group) {
+            let g = group.min(panels - g0);
+            let packed = &mut packed[..g * k * NT_NR];
+            for (p, panel) in packed.chunks_exact_mut(k * NT_NR).enumerate() {
+                let j0 = (g0 + p) * NT_NR;
+                let width = NT_NR.min(m - j0);
+                for (c, b_row) in b[j0 * k..(j0 + width) * k].chunks_exact(k).enumerate() {
+                    for (slot, &bv) in panel[c..].iter_mut().step_by(NT_NR).zip(b_row) {
+                        *slot = bv;
+                    }
                 }
             }
+            let packed = &*packed;
             let mut a_blocks = a.chunks_exact(NT_MR * k);
             let mut out_blocks = piece.chunks_exact_mut(NT_MR * m);
             for (a_block, out_block) in (&mut a_blocks).zip(&mut out_blocks) {
-                nt_tile::<NT_MR>(a_block, k, &panel, j0, width, m, out_block);
+                nt_row_block::<NT_MR, SUB>(a_block, k, packed, g0, m, out_block);
             }
             let a_rest = a_blocks.remainder().chunks_exact(k);
             for (a_row, out_row) in a_rest.zip(out_blocks.into_remainder().chunks_exact_mut(m)) {
-                nt_tile::<1>(a_row, k, &panel, j0, width, m, out_row);
+                nt_row_block::<1, SUB>(a_row, k, packed, g0, m, out_row);
             }
         }
     });
 }
 
-/// One `A·Bᵀ` tile: the `MR` rows of `A` in `a` against a packed panel,
-/// written to columns `j0..j0 + width` of the `MR` output rows in `out`.
+/// The `MR` rows of `A` in `a` against every packed panel of a group whose
+/// first panel starts at column `g0 · NT_NR`.
 #[inline(always)]
-fn nt_tile<const MR: usize>(
+fn nt_row_block<const MR: usize, const SUB: bool>(
+    a: &[f32],
+    k: usize,
+    packed: &[f32],
+    g0: usize,
+    m: usize,
+    out: &mut [f32],
+) {
+    for (p, panel) in packed.chunks_exact(k * NT_NR).enumerate() {
+        let j0 = (g0 + p) * NT_NR;
+        nt_tile::<MR, SUB>(a, k, panel, j0, NT_NR.min(m - j0), m, out);
+    }
+}
+
+/// One `A·Bᵀ` tile: the `MR` rows of `A` in `a` against a packed panel,
+/// stored to (or subtracted from) columns `j0..j0 + width` of the `MR`
+/// output rows in `out`.
+#[inline(always)]
+fn nt_tile<const MR: usize, const SUB: bool>(
     a: &[f32],
     k: usize,
     panel: &[f32],
@@ -363,7 +448,15 @@ fn nt_tile<const MR: usize>(
             }
         }
     }
-    store_tile(&acc, out, m, j0, width);
+    if SUB {
+        for (acc_row, out_row) in acc.iter().zip(out.chunks_exact_mut(m)) {
+            for (o, &v) in out_row[j0..j0 + width].iter_mut().zip(acc_row) {
+                *o -= v;
+            }
+        }
+    } else {
+        store_tile(&acc, out, m, j0, width);
+    }
 }
 
 #[cfg(test)]
@@ -433,6 +526,37 @@ mod tests {
                 out[i * m + j] = acc;
             }
         }
+    }
+
+    /// `out -= A·Bᵀ`, each dot product accumulated from `+0.0` and then
+    /// subtracted once.
+    fn serial_matmul_nt_sub(n: usize, k: usize, m: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        for i in 0..n {
+            for j in 0..m {
+                let mut acc = 0.0f32;
+                for kk in 0..k {
+                    acc += a[i * k + kk] * b[j * k + kk];
+                }
+                out[i * m + j] -= acc;
+            }
+        }
+    }
+
+    /// `matmul_nt_into` (from garbage) and `matmul_nt_sub_into` (from a
+    /// non-zero start) on `pool` against the serial loops, bitwise.
+    fn check_nt(pool: &WorkerPool, n: usize, k: usize, m: usize, a: &[f32], b: &[f32]) {
+        let mut expected = vec![0.0f32; n * m];
+        serial_matmul_nt(n, k, m, a, b, &mut expected);
+        let mut out = vec![f32::NAN; n * m];
+        matmul_nt_into(pool, n, k, m, a, b, &mut out);
+        assert_eq!(bits(&out), bits(&expected), "matmul_nt {n}x{k}x{m}");
+
+        let start = fill(n * m, (n * 5 + k * 3 + m) as u32);
+        let mut expected = start.clone();
+        serial_matmul_nt_sub(n, k, m, a, b, &mut expected);
+        let mut out = start;
+        matmul_nt_sub_into(pool, n, k, m, a, b, &mut out);
+        assert_eq!(bits(&out), bits(&expected), "matmul_nt_sub {n}x{k}x{m}");
     }
 
     /// Runs all three kernels on `pool` against the serial loops, bitwise.
@@ -537,6 +661,82 @@ mod tests {
     }
 
     #[test]
+    fn rank_r_reconstruction_and_fused_subtract_match_serial_bitwise() {
+        // k = r: B fits in NT_PACK_ONCE, so a task packs every panel once
+        // and sweeps rows of A outermost. m runs around multiples of NT_NR
+        // and n off NT_MR; the larger shapes cross PAR_THRESHOLD, so 1 and
+        // 3 workers really split rows.
+        let pools = [WorkerPool::new(0), WorkerPool::new(1), WorkerPool::new(3)];
+        for k in [1, 2, 3, 4, 5, 8, 16] {
+            for m in [1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 64, 65] {
+                for n in [1, 3, 5, 13, 37, 130] {
+                    let a = fill(n * k, (n * k + m) as u32);
+                    let b = fill(m * k, (n + k * m) as u32);
+                    for pool in &pools {
+                        check_nt(pool, n, k, m, &a, &b);
+                    }
+                }
+            }
+        }
+        // The benchmark's rank-4 reconstruction, and B on both sides of
+        // NT_PACK_ONCE (pack once vs one panel at a time).
+        for (n, k, m) in [(1024, 4, 1024), (9, 128, 128), (9, 128, 129), (5, 64, 300)] {
+            let a = fill(n * k, 21);
+            let b = fill(m * k, 22);
+            for pool in &pools {
+                check_nt(pool, n, k, m, &a, &b);
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_tn_row_blocks_match_serial_bitwise() {
+        // Shared dimensions below, at and around multiples of
+        // TN_PANEL_ROWS: every output chain crosses the blocks in order.
+        let pools = [WorkerPool::new(0), WorkerPool::new(1), WorkerPool::new(3)];
+        for rows in [1, 63, 64, 65, 128, 129, 300] {
+            for (k, m) in [(1, 1), (9, 4), (33, 5), (130, 16)] {
+                let a = fill(rows * k, (rows + k) as u32);
+                let b = fill(rows * m, (rows * m + 1) as u32);
+                let start = fill(k * m, 3);
+                let mut expected = start.clone();
+                serial_matmul_tn(rows, k, m, &a, &b, &mut expected);
+                for pool in &pools {
+                    let mut out = start.clone();
+                    matmul_tn_into(pool, rows, k, m, &a, &b, &mut out);
+                    assert_eq!(bits(&out), bits(&expected), "matmul_tn {rows}x{k}x{m}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nt_kernels_propagate_signed_zeros_and_non_finite_rhs_like_serial() {
+        // A·Bᵀ has no zero skip: every product enters its dot product, so
+        // ±inf and NaN in B reach the output exactly as in the serial loop.
+        let pools = [WorkerPool::new(0), WorkerPool::new(3)];
+        for (n, k, m) in [(5, 4, 9), (13, 3, 17), (130, 4, 130)] {
+            let a = fill(n * k, 31);
+            let b: Vec<f32> = fill(m * k, 32)
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| match i % 11 {
+                    0 => f32::INFINITY,
+                    4 => f32::NEG_INFINITY,
+                    7 => f32::NAN,
+                    9 => -0.0,
+                    _ => v,
+                })
+                .collect();
+            for pool in &pools {
+                check_nt(pool, n, k, m, &a, &b);
+                // All-signed-zero operands: each dot product is +0.0.
+                check_nt(pool, n, k, m, &vec![-0.0; n * k], &vec![-0.0; m * k]);
+            }
+        }
+    }
+
+    #[test]
     fn signed_zeros_follow_the_serial_loops() {
         let pool = WorkerPool::new(1);
         let (n, k, m) = (9, 6, 5);
@@ -602,11 +802,13 @@ mod tests {
         matmul_into(&pool, 0, 4, 0, &[], &[], &mut out);
         matmul_tn_into(&pool, 4, 0, 0, &fill(0, 7), &[], &mut out);
         matmul_nt_into(&pool, 0, 3, 0, &[], &[], &mut out);
+        matmul_nt_sub_into(&pool, 0, 3, 0, &[], &[], &mut out);
         assert!(out.is_empty());
         // A zero-length shared dimension leaves A·B and Aᵀ·B untouched and
         // makes every A·Bᵀ dot product an empty sum.
         for m in [1, 4, 9] {
             check_shape(&pool, 5, 0, m, &[], &[]);
+            check_nt(&pool, 5, 0, m, &[], &[]);
         }
     }
 }
